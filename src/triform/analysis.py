@@ -24,8 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Position
-from .potentials import SQRT3, TrianglePotentialSpec, pinned_triangle_hessian
+from .geometry import SQRT3, Position
+from .potentials import (
+    TrianglePotentialSpec,
+    _corner_gradient,
+    pinned_hessian_entries,
+    pinned_triangle_hessian,
+)
 
 FAMILY_APEX = "apex-correct"
 FAMILY_BELOW = "below-axis"
@@ -184,18 +189,11 @@ def classify_gain(k_gain: float) -> GainRegime:
 def pinned_field(a: float, k_gain: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Velocity of the free agent at (x, y), pins at (-a, 0) and (a, 0).
 
-    Written in the same relative-coordinate form as the analytic gradient,
-    vectorised over numpy arrays.
+    The negated analytic corner gradient, evaluated on numpy arrays.
     """
     a2 = a * a
-    d2 = 4.0 * a2
-    z_star = SQRT3 * a2
-    e1x = x + a
-    e2x = x - a
-    c1 = e1x * e1x + y * y - d2
-    c2 = e2x * e2x + y * y - d2
-    area = k_gain * (a * y - z_star)
-    return -(c1 * e1x + c2 * e2x), -(c1 * y + c2 * y + area * a)
+    gx, gy = _corner_gradient(4.0 * a2, k_gain, SQRT3 * a2, -a, 0.0, a, 0.0, x, y)
+    return -gx, -gy
 
 
 def find_equilibria_numeric(
@@ -235,9 +233,7 @@ def find_equilibria_numeric(
             break
         fx, fy = pinned_field(a, k_gain, x, y)
         # Jacobian of the field is minus the potential's Hessian.
-        j11 = -(6.0 * x * x + 2.0 * y * y - 2.0 * a2)
-        j12 = -(4.0 * x * y)
-        j22 = -(6.0 * y * y + 2.0 * x * x - 6.0 * a2 + k_gain * a2)
+        j11, j12, j22 = (-h for h in pinned_hessian_entries(a2, k_gain, x, y))
         det = j11 * j22 - j12 * j12
         with np.errstate(divide="ignore", invalid="ignore"):
             dx = -(fx * j22 - fy * j12) / det

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -20,6 +22,7 @@ from typing import Any, Iterable, Sequence
 from .analysis import (
     FAMILY_APEX,
     K_LOW,
+    STABLE,
     align_to_pinned_frame,
     classify_gain,
     enumerate_triangle_equilibria,
@@ -28,9 +31,9 @@ from .analysis import (
 from .dynamics import (
     CONVERGED,
     DIVERGED,
+    LABEL_CORRECT,
     TIMEOUT,
     BasinCell,
-    BasinResult,
     GridSpec,
     IntegratorConfig,
     probe_points,
@@ -70,9 +73,20 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]])
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_manifest(out_dir: Path, payload: dict[str, Any]) -> None:
+def _write_manifest(out_dir: Path, command: str, started: float, **payload: Any) -> None:
+    """Write manifest.json: the command, its fields and the wall time, as strict JSON."""
+    payload.update(command=command, wall_time_s=time.perf_counter() - started)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    (out_dir / "manifest.json").write_text(text + "\n")
+
+
+def _config_error(args: argparse.Namespace, started: float, exc: Exception) -> int:
+    _write_manifest(
+        Path(args.out_dir), args.command, started, termination_reason="config-error", error=str(exc)
+    )
+    print(f"config error: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -88,8 +102,8 @@ def _parse_k_range(text: str) -> list[float]:
         start, stop, step = (float(v) for v in text.split(":"))
     except ValueError as exc:
         raise ConfigError("--k-range", f"expected START:STOP:STEP, got {text!r}") from exc
-    if step <= 0 or stop < start:
-        raise ConfigError("--k-range", f"need step > 0 and stop >= start, got {text!r}")
+    if not (step > 0 and 0 < start <= stop < math.inf):
+        raise ConfigError("--k-range", f"need step > 0 and 0 < start <= stop < inf, got {text!r}")
     out = []
     k = start
     while k <= stop + 1e-12:
@@ -119,17 +133,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
         scenario = resolve(config)
     except (ConfigError, ValueError) as exc:
-        _write_manifest(
-            out_dir,
-            {
-                "command": "simulate",
-                "termination_reason": "config-error",
-                "error": str(exc),
-                "wall_time_s": time.perf_counter() - started,
-            },
-        )
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(args, started, exc)
 
     result = simulate(
         scenario.plan,
@@ -165,21 +169,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     final = traj.final_positions()
     dist_err, area_err = formation_errors(scenario.formation, final)
     manifest: dict[str, Any] = {
-        "command": "simulate",
         "config": config_to_dict(scenario.config),
         "termination_reason": result.reason,
         "t_final": result.t_final,
         "steps": result.steps,
         "final_max_dist_err": dist_err,
         "final_max_area_err": area_err,
-        "wall_time_s": time.perf_counter() - started,
         "outputs": ["trajectory.csv", "metrics.csv"],
     }
     if result.diverged_at is not None:
         manifest["diverged_at"] = result.diverged_at
     if n == 3 and result.reason == CONVERGED:
         manifest["terminal_equilibrium"] = _terminal_equilibrium(scenario, final)
-    _write_manifest(out_dir, manifest)
+    _write_manifest(out_dir, "simulate", started, **manifest)
     print(f"{result.reason}: t={result.t_final:.3f} max_dist_err={dist_err:.3e} max_area_err={area_err:.3e}")
     return _REASON_EXIT[result.reason]
 
@@ -217,22 +219,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             raise ConfigError("--a", f"must be positive, got {args.a}")
         catalogue = [(k, classify_gain(k), enumerate_triangle_equilibria(args.a, k)) for k in gains]
     except (ConfigError, ValueError) as exc:
-        _write_manifest(
-            out_dir,
-            {
-                "command": "analyze",
-                "termination_reason": "config-error",
-                "error": str(exc),
-                "wall_time_s": time.perf_counter() - started,
-            },
-        )
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(args, started, exc)
 
     rows = []
     summary_rows = []
     for k, regime, eqs in catalogue:
-        stable = sum(1 for e in eqs if e.stability == "stable")
+        stable = sum(1 for e in eqs if e.stability == STABLE)
         summary_rows.append([k, regime.regime, int(regime.at_boundary), len(eqs), stable])
         for eq in eqs:
             lam2 = eq.eigenvalues[1] if len(eq.eigenvalues) > 1 else None
@@ -265,100 +257,72 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
     _write_manifest(
         out_dir,
-        {
-            "command": "analyze",
-            "a": args.a,
-            "gains": gains,
-            "termination_reason": "ok",
-            "wall_time_s": time.perf_counter() - started,
-            "outputs": ["equilibria.csv", "summary.csv"],
-        },
+        "analyze",
+        started,
+        a=args.a,
+        gains=gains,
+        termination_reason="ok",
+        outputs=["equilibria.csv", "summary.csv"],
     )
     return EXIT_OK
 
 
-def _triangle_setup(d_star: float):
-    config = make_builtin_scenario("triangle", k_gain=1.0, d_star=d_star)
-    scenario = resolve(config)
-    return scenario.plan, scenario.formation
-
-
-def _basin_grid(args: argparse.Namespace) -> GridSpec:
+def _basin_setup(args: argparse.Namespace, gains: list[float]):
+    """Check every basin input; return the pinned triangle, grid, integrator and catalogues."""
     nx, ny = _parse_grid(args.grid)
-    return GridSpec(nx=nx, ny=ny, xmin=args.xmin, xmax=args.xmax, ymin=args.ymin, ymax=args.ymax)
+    grid = GridSpec(nx=nx, ny=ny, xmin=args.xmin, xmax=args.xmax, ymin=args.ymin, ymax=args.ymax)
+    cfg = IntegratorConfig(dt=args.dt, t_max=args.t_max)
+    if args.jobs < 1:
+        raise ConfigError("--jobs", f"need at least one worker, got {args.jobs}")
+    scenario = resolve(make_builtin_scenario("triangle", k_gain=1.0, d_star=args.d_star))
+    catalogues = [enumerate_triangle_equilibria(0.5 * args.d_star, k) for k in gains]
+    return scenario, grid, cfg, catalogues
 
 
 def _run_basin(
-    d_star: float, k_gain: float, grid: GridSpec, cfg: IntegratorConfig, jobs: int
-) -> BasinResult:
-    plan, formation = _triangle_setup(d_star)
-    a = 0.5 * d_star
-    equilibria = enumerate_triangle_equilibria(a, k_gain)
+    scenario, k_gain: float, equilibria, grid: GridSpec, cfg: IntegratorConfig, jobs: int
+) -> tuple[list[BasinCell], float | None]:
+    """Probe every grid cell; return the cells and the correct fraction (None when empty)."""
     points = grid.points()
-    if jobs <= 1 or len(points) < 2:
-        cells = probe_points(plan, formation, cfg, k_gain, 1.0, equilibria, points)
+    jobs = min(jobs, os.cpu_count() or 1, len(points))
+    worker = partial(probe_points, scenario.plan, scenario.formation, cfg, k_gain, 1.0, equilibria)
+    if jobs <= 1:
+        cells = worker(points)
     else:
-        chunk = max(1, (len(points) + jobs - 1) // jobs)
+        chunk = (len(points) + jobs - 1) // jobs
         batches = [points[i : i + chunk] for i in range(0, len(points), chunk)]
-        worker = partial(probe_points, plan, formation, cfg, k_gain, 1.0, equilibria)
-        cells = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for batch_cells in pool.map(worker, batches):
-                cells.extend(batch_cells)
-    correct = sum(1 for c in cells if c.label == "correct")
-    fraction = correct / len(cells) if cells else float("nan")
-    return BasinResult(cells=cells, fraction_correct=fraction, k_gain=k_gain, half_distance=a)
-
-
-_BASIN_HEADER = ["ix", "iy", "x0", "y0", "label", "reason", "x_final", "y_final", "matched_family"]
-
-
-def _basin_rows(cells: list[BasinCell]) -> list[list[Any]]:
-    return [
-        [c.ix, c.iy, c.x0, c.y0, c.label, c.reason, c.x_final, c.y_final, c.matched_family or ""]
-        for c in cells
-    ]
+            cells = [cell for batch in pool.map(worker, batches) for cell in batch]
+    correct = sum(1 for c in cells if c.label == LABEL_CORRECT)
+    return cells, (correct / len(cells) if cells else None)
 
 
 def cmd_basin(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     started = time.perf_counter()
     try:
-        grid = _basin_grid(args)
-        cfg = IntegratorConfig(dt=args.dt, t_max=args.t_max)
-        if args.k is None or args.k <= 0:
+        if not args.k > 0:
             raise ConfigError("--k", f"need a positive gain, got {args.k}")
-        result = _run_basin(args.d_star, args.k, grid, cfg, args.jobs)
+        scenario, grid, cfg, (equilibria,) = _basin_setup(args, [args.k])
     except (ConfigError, ValueError) as exc:
-        _write_manifest(
-            out_dir,
-            {
-                "command": "basin",
-                "termination_reason": "config-error",
-                "error": str(exc),
-                "wall_time_s": time.perf_counter() - started,
-            },
-        )
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(args, started, exc)
 
+    cells, fraction = _run_basin(scenario, args.k, equilibria, grid, cfg, args.jobs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "basin.csv", _BASIN_HEADER, _basin_rows(result.cells))
+    _write_csv(out_dir / "basin.csv", [f.name for f in fields(BasinCell)], map(astuple, cells))
     _write_manifest(
         out_dir,
-        {
-            "command": "basin",
-            "k_gain": args.k,
-            "d_star": args.d_star,
-            "grid": [grid.nx, grid.ny, grid.xmin, grid.xmax, grid.ymin, grid.ymax],
-            "cells": len(result.cells),
-            "fraction_correct": result.fraction_correct,
-            "termination_reason": "ok",
-            "wall_time_s": time.perf_counter() - started,
-            "outputs": ["basin.csv"],
-        },
+        "basin",
+        started,
+        k_gain=args.k,
+        d_star=args.d_star,
+        grid=[grid.nx, grid.ny, grid.xmin, grid.xmax, grid.ymin, grid.ymax],
+        cells=len(cells),
+        fraction_correct=fraction,
+        termination_reason="ok",
+        outputs=["basin.csv"],
     )
-    print(f"fraction_correct={result.fraction_correct!r}")
+    print(f"fraction_correct={fraction!r}")
     return EXIT_OK
 
 
@@ -367,31 +331,19 @@ def cmd_sweep_gain(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
         gains = _parse_k_range(args.k_range)
-        grid = _basin_grid(args)
-        cfg = IntegratorConfig(dt=args.dt, t_max=args.t_max)
+        scenario, grid, cfg, catalogues = _basin_setup(args, gains)
     except (ConfigError, ValueError) as exc:
-        _write_manifest(
-            out_dir,
-            {
-                "command": "sweep-gain",
-                "termination_reason": "config-error",
-                "error": str(exc),
-                "wall_time_s": time.perf_counter() - started,
-            },
-        )
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(args, started, exc)
 
     rows = []
-    for k in gains:
-        regime = classify_gain(k)
-        eqs = enumerate_triangle_equilibria(0.5 * args.d_star, k)
-        stable = sum(1 for e in eqs if e.stability == "stable")
-        basin = _run_basin(args.d_star, k, grid, cfg, args.jobs)
-        rows.append([k, regime.regime, len(eqs), stable, basin.fraction_correct])
+    for k, eqs in zip(gains, catalogues):
+        regime = classify_gain(k).regime
+        stable = sum(1 for e in eqs if e.stability == STABLE)
+        _, fraction = _run_basin(scenario, k, eqs, grid, cfg, args.jobs)
+        rows.append([k, regime, len(eqs), stable, fraction])
         print(
-            f"K={k!r}: regime={regime.regime} equilibria={len(eqs)} stable={stable} "
-            f"fraction_correct={basin.fraction_correct!r}"
+            f"K={k!r}: regime={regime} equilibria={len(eqs)} stable={stable} "
+            f"fraction_correct={fraction!r}"
         )
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -402,14 +354,12 @@ def cmd_sweep_gain(args: argparse.Namespace) -> int:
     )
     _write_manifest(
         out_dir,
-        {
-            "command": "sweep-gain",
-            "d_star": args.d_star,
-            "gains": gains,
-            "termination_reason": "ok",
-            "wall_time_s": time.perf_counter() - started,
-            "outputs": ["sweep.csv"],
-        },
+        "sweep-gain",
+        started,
+        d_star=args.d_star,
+        gains=gains,
+        termination_reason="ok",
+        outputs=["sweep.csv"],
     )
     return EXIT_OK
 
@@ -442,32 +392,29 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--out-dir", default="out", help="artifact directory")
     ana.set_defaults(func=cmd_analyze)
 
-    bas = sub.add_parser("basin", help="terminal-equilibrium labels over an initial grid")
+    grid_run = argparse.ArgumentParser(add_help=False)
+    grid_run.add_argument("--d-star", type=float, default=2.0, help="desired edge length")
+    grid_run.add_argument("--xmin", type=float, default=-3.0)
+    grid_run.add_argument("--xmax", type=float, default=3.0)
+    grid_run.add_argument("--ymin", type=float, default=-3.0)
+    grid_run.add_argument("--ymax", type=float, default=3.0)
+    grid_run.add_argument("--dt", type=float, default=1e-3)
+    grid_run.add_argument("--t-max", type=float, default=50.0)
+    grid_run.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    grid_run.add_argument("--out-dir", default="out", help="artifact directory")
+
+    bas = sub.add_parser(
+        "basin", parents=[grid_run], help="terminal-equilibrium labels over an initial grid"
+    )
     bas.add_argument("--k", type=float, required=True, help="area gain")
-    bas.add_argument("--d-star", type=float, default=2.0, help="desired edge length")
     bas.add_argument("--grid", default="9x9", help="grid size NXxNY")
-    bas.add_argument("--xmin", type=float, default=-3.0)
-    bas.add_argument("--xmax", type=float, default=3.0)
-    bas.add_argument("--ymin", type=float, default=-3.0)
-    bas.add_argument("--ymax", type=float, default=3.0)
-    bas.add_argument("--dt", type=float, default=1e-3)
-    bas.add_argument("--t-max", type=float, default=50.0)
-    bas.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-    bas.add_argument("--out-dir", default="out", help="artifact directory")
     bas.set_defaults(func=cmd_basin)
 
-    swp = sub.add_parser("sweep-gain", help="regime table plus basin fractions over a gain range")
+    swp = sub.add_parser(
+        "sweep-gain", parents=[grid_run], help="regime table plus basin fractions over a gain range"
+    )
     swp.add_argument("--k-range", required=True, help="START:STOP:STEP sweep of gains")
-    swp.add_argument("--d-star", type=float, default=2.0)
-    swp.add_argument("--grid", default="5x5")
-    swp.add_argument("--xmin", type=float, default=-3.0)
-    swp.add_argument("--xmax", type=float, default=3.0)
-    swp.add_argument("--ymin", type=float, default=-3.0)
-    swp.add_argument("--ymax", type=float, default=3.0)
-    swp.add_argument("--dt", type=float, default=1e-3)
-    swp.add_argument("--t-max", type=float, default=50.0)
-    swp.add_argument("--jobs", type=int, default=1)
-    swp.add_argument("--out-dir", default="out", help="artifact directory")
+    swp.add_argument("--grid", default="5x5", help="grid size NXxNY")
     swp.set_defaults(func=cmd_sweep_gain)
 
     return parser

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import FAMILY_APEX, enumerate_triangle_equilibria
+from .analysis import FAMILY_APEX, enumerate_triangle_equilibria, match_equilibrium
 from .geometry import Position
 from .graph import DesiredFormation, formation_errors
 from .hierarchy import HierarchyPlan, compile_field
@@ -294,12 +294,7 @@ def probe_points(
         label = LABEL_UNRESOLVED
         family = None
         if result.converged:
-            best = None
-            best_d = match_tol
-            for eq in equilibria:
-                d = math.hypot(fx - eq.position.x, fy - eq.position.y)
-                if d <= best_d:
-                    best, best_d = eq, d
+            best = match_equilibrium(equilibria, Position(fx, fy), match_tol)
             if best is not None:
                 family = best.family
                 label = LABEL_CORRECT if family == FAMILY_APEX else LABEL_INCORRECT

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+SQRT3 = math.sqrt(3.0)
+
 
 @dataclass(frozen=True)
 class Position:

@@ -15,9 +15,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .geometry import Position, distance, signed_area
-
-SQRT3 = math.sqrt(3.0)
+from .geometry import SQRT3, Position, distance, signed_area
 
 Edge = tuple[int, int]
 Clique = tuple[int, int, int]

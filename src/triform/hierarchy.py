@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .geometry import PlanarVector, Position
+from .geometry import SQRT3, PlanarVector, Position
 from .graph import DesiredFormation, FormationGraph, validate_triangulated_laman
 from .potentials import (
     PairPotentialSpec,
@@ -264,7 +264,7 @@ def target_positions(plan: HierarchyPlan, df: DesiredFormation) -> list[Position
     and every triangle agent at the apex on the side its clique orientation
     demands.  Any rigid motion of the result is an equally valid target.
     """
-    sqrt3_half = 0.5 * (3.0 ** 0.5)
+    sqrt3_half = 0.5 * SQRT3
     pts: dict[int, tuple[float, float]] = {}
     for agent in plan.processing_order:
         asg = plan.assignment_for(agent)

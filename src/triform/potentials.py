@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PlanarVector, Position, signed_area, squared_distance
-
-SQRT3 = math.sqrt(3.0)
+from .geometry import SQRT3, PlanarVector, Position, signed_area, squared_distance
 
 
 @dataclass(frozen=True)
@@ -166,8 +164,16 @@ def pinned_triangle_hessian(spec: TrianglePotentialSpec, pk: Position) -> np.nda
             "pinned hessian assumes z_star = sqrt(3)*(d_star/2)**2, "
             f"got z_star={spec.z_star} for d_star={spec.d_star}"
         )
-    x, y = pk.x, pk.y
+    hxx, hxy, hyy = pinned_hessian_entries(a2, spec.k_gain, pk.x, pk.y)
+    return np.array([[hxx, hxy], [hxy, hyy]])
+
+
+def pinned_hessian_entries(a2, k_gain, x, y):
+    """(hxx, hxy, hyy) of :func:`pinned_triangle_hessian` with a2 = a**2.
+
+    x and y may be floats or numpy arrays; no target-area check is made.
+    """
     hxx = 6.0 * x * x + 2.0 * y * y - 2.0 * a2
     hxy = 4.0 * x * y
-    hyy = 6.0 * y * y + 2.0 * x * x - 6.0 * a2 + spec.k_gain * a2
-    return np.array([[hxx, hxy], [hxy, hyy]])
+    hyy = 6.0 * y * y + 2.0 * x * x - 6.0 * a2 + k_gain * a2
+    return hxx, hxy, hyy

@@ -1,9 +1,11 @@
+import importlib.util
 import json
 import math
 from pathlib import Path
 
 import pytest
 
+import triform.cli
 from triform import FormationGraph, IntegratorConfig
 from triform.cli import main
 from triform.scenario import (
@@ -271,13 +273,21 @@ def test_analyze_requires_a_gain(tmp_path):
 # basin command
 # ---------------------------------------------------------------------------
 
+def strict_manifest(out_dir):
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant} in manifest")
+
+    return json.loads((out_dir / "manifest.json").read_text(), parse_constant=reject)
+
+
 def test_basin_zero_cells_writes_empty_file(tmp_path):
     out = tmp_path / "basin"
     assert run_cli("basin", "--k", 20.0, "--grid", "0x0", "--out-dir", out) == 0
     lines = (out / "basin.csv").read_text().splitlines()
     assert len(lines) == 1  # header only
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = strict_manifest(out)
     assert manifest["cells"] == 0
+    assert manifest["fraction_correct"] is None
 
 
 def test_basin_high_gain_small_grid(tmp_path):
@@ -286,6 +296,7 @@ def test_basin_high_gain_small_grid(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["fraction_correct"] == 1.0
     lines = (out / "basin.csv").read_text().splitlines()
+    assert lines[0] == "ix,iy,x0,y0,label,reason,x_final,y_final,matched_family"
     assert len(lines) == 10
     assert all("correct" in line for line in lines[1:])
 
@@ -299,6 +310,76 @@ def test_basin_parallel_output_matches_serial(tmp_path):
 
 def test_basin_rejects_bad_grid(tmp_path):
     assert run_cli("basin", "--k", 20.0, "--grid", "three", "--out-dir", tmp_path / "x") == 64
+
+
+class RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor that records its size."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, grid, cpus, sizes",
+    [(64, "2x1", 8, [2]), (3, "3x3", 2, [2]), (4, "2x2", None, []), (2, "1x1", 8, [])],
+    ids=["cells", "cpus", "unknown-cpus", "one-cell"],
+)
+def test_basin_jobs_capped_by_cpus_and_cells(tmp_path, monkeypatch, jobs, grid, cpus, sizes):
+    monkeypatch.setattr(triform.cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(triform.cli.os, "cpu_count", lambda: cpus)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli("basin", "--k", 20.0, "--grid", grid, "--jobs", jobs, "--out-dir", a) == 0
+    assert RecordingPool.sizes == sizes
+    assert run_cli("basin", "--k", 20.0, "--grid", grid, "--out-dir", b) == 0
+    assert (a / "basin.csv").read_bytes() == (b / "basin.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["sweep-gain", "--k-range", "1:1:1", "--d-star", -1], "d_star"),
+        (["sweep-gain", "--k-range", "0:1:1"], "--k-range"),
+        (["sweep-gain", "--k-range", "0.5:inf:1"], "--k-range"),
+        (["sweep-gain", "--k-range", "nan:1:1"], "--k-range"),
+        (["analyze", "--k-range", "0:1:1"], "--k-range"),
+        (["basin", "--k", 1.0, "--jobs", 0], "--jobs"),
+        (["basin", "--k", 1.0, "--d-star", -1], "d_star"),
+        (["basin", "--k", "nan"], "--k"),
+        (["simulate", "--config", "missing.json"], "cannot read"),
+    ],
+    ids=[
+        "sweep-negative-d-star",
+        "sweep-zero-gain",
+        "sweep-infinite-stop",
+        "sweep-nan-start",
+        "analyze-zero-gain",
+        "basin-zero-jobs",
+        "basin-negative-d-star",
+        "basin-nan-gain",
+        "simulate-missing-config",
+    ],
+)
+def test_rejected_inputs_write_a_config_error_manifest(tmp_path, argv, field):
+    out = tmp_path / "run"
+    grid = ["--grid", "1x1"] if argv[0] in ("basin", "sweep-gain") else []
+    assert run_cli(*argv, *grid, "--out-dir", out) == 64
+    manifest = strict_manifest(out)
+    assert manifest["command"] == argv[0]
+    assert manifest["termination_reason"] == "config-error"
+    assert field in manifest["error"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -318,3 +399,40 @@ def test_sweep_gain_reports_regimes_and_fractions(tmp_path):
     assert float(rows[0][4]) < 1.0
     assert float(rows[1][4]) == 1.0
     assert float(rows[2][4]) == 1.0
+
+
+def test_sweep_gain_empty_grid_leaves_fraction_blank(tmp_path):
+    out = tmp_path / "sweep"
+    assert run_cli("sweep-gain", "--k-range", "0.6:1.6:1.0", "--grid", "0x0", "--out-dir", out) == 0
+    rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [r[4] for r in rows] == ["", ""]
+    assert strict_manifest(out)["gains"] == [0.6, 1.6]
+
+
+# ---------------------------------------------------------------------------
+# benchmark hooks: perfbench/tracer.py wraps these module attributes
+# ---------------------------------------------------------------------------
+
+def load_tracer():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_call_sites_resolve():
+    tracer = load_tracer()
+    missing = [f"{mod.__name__}.{attr}" for mod, attr, _ in tracer.CALL_SITES if not hasattr(mod, attr)]
+    assert missing == []
+
+
+def test_traced_basin_records_its_layers(tmp_path):
+    tracer = load_tracer()
+    tr = tracer.Tracer()
+    with tr.patched():
+        assert run_cli("basin", "--k", 20.0, "--grid", "2x1", "--out-dir", tmp_path / "b") == 0
+    names = [sp.name for sp in tr.spans]
+    assert names.count("dynamics.probe_points") == 1
+    assert names.count("analysis.catalogue") == 1
+    assert names.count("dynamics.simulate") == 2
