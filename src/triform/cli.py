@@ -56,6 +56,7 @@ EXIT_DIVERGED = 3
 EXIT_CONFIG = 64
 
 _REASON_EXIT = {CONVERGED: EXIT_OK, TIMEOUT: EXIT_TIMEOUT, DIVERGED: EXIT_DIVERGED}
+_MAX_GAINS = 10_000  # --k-range enumerates at most this many gains
 
 
 def _fmt(value: Any) -> str:
@@ -107,6 +108,8 @@ def _parse_k_range(text: str) -> list[float]:
     out = []
     k = start
     while k <= stop + 1e-12:
+        if len(out) == _MAX_GAINS:  # also stops a step too small to advance k
+            raise ConfigError("--k-range", f"more than {_MAX_GAINS} gains in {text!r}")
         out.append(round(k, 12))
         k += step
     return out

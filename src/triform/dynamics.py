@@ -230,6 +230,10 @@ class GridSpec:
             raise ValueError(f"grid sizes must be non-negative, got {self.nx}x{self.ny}")
         if self.xmin > self.xmax or self.ymin > self.ymax:
             raise ValueError("grid bounds are inverted")
+        # Finite midpoints and spans keep every point of points() finite.
+        for lo, hi, count in ((self.xmin, self.xmax, self.nx), (self.ymin, self.ymax, self.ny)):
+            if not (math.isfinite(lo + hi) and math.isfinite(max(count - 1, 1) * (hi - lo))):
+                raise ValueError(f"grid bounds must be finite with a finite span, got {lo}..{hi}")
 
     def points(self) -> list[tuple[int, int, float, float]]:
         def axis(lo: float, hi: float, count: int, idx: int) -> float:

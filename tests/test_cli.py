@@ -358,6 +358,12 @@ def test_basin_jobs_capped_by_cpus_and_cells(tmp_path, monkeypatch, jobs, grid, 
         (["basin", "--k", 1.0, "--d-star", -1], "d_star"),
         (["basin", "--k", "nan"], "--k"),
         (["simulate", "--config", "missing.json"], "cannot read"),
+        (["sweep-gain", "--k-range", "1e17:2e17:1"], "--k-range"),
+        (["sweep-gain", "--k-range", "1e-300:1:1e-300"], "--k-range"),
+        (["basin", "--k", 20.0, "--xmin", "nan"], "grid bounds"),
+        (["basin", "--k", 20.0, "--xmin=-inf", "--xmax", "inf"], "grid bounds"),
+        (["basin", "--k", 20.0, "--xmin=-1e308", "--xmax", "1e308"], "grid bounds"),
+        (["sweep-gain", "--k-range", "1:1:1", "--xmax", "inf"], "grid bounds"),
     ],
     ids=[
         "sweep-negative-d-star",
@@ -369,6 +375,12 @@ def test_basin_jobs_capped_by_cpus_and_cells(tmp_path, monkeypatch, jobs, grid, 
         "basin-negative-d-star",
         "basin-nan-gain",
         "simulate-missing-config",
+        "sweep-step-below-resolution",
+        "sweep-too-many-gains",
+        "basin-nan-bound",
+        "basin-infinite-bounds",
+        "basin-overflowing-span",
+        "sweep-infinite-bound",
     ],
 )
 def test_rejected_inputs_write_a_config_error_manifest(tmp_path, argv, field):
