@@ -1,8 +1,8 @@
 """Command-line front end: simulate, analyze, basin, sweep-gain.
 
 Every run writes a manifest.json naming the termination reason, even when the
-configuration is rejected.  Exit codes: 0 converged/ok, 2 timeout,
-3 diverged, 64 configuration error.
+configuration or the command line is rejected.  Exit codes: 0 converged/ok,
+2 timeout, 3 diverged, 64 configuration or usage error.
 """
 
 from __future__ import annotations
@@ -367,8 +367,16 @@ def cmd_sweep_gain(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise ConfigError instead of exiting with 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ConfigError("usage", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="triform",
         description="Formation shape control on triangulated graphs with signed-area flip avoidance.",
     )
@@ -395,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--out-dir", default="out", help="artifact directory")
     ana.set_defaults(func=cmd_analyze)
 
-    grid_run = argparse.ArgumentParser(add_help=False)
+    grid_run = _Parser(add_help=False)
     grid_run.add_argument("--d-star", type=float, default=2.0, help="desired edge length")
     grid_run.add_argument("--xmin", type=float, default=-3.0)
     grid_run.add_argument("--xmax", type=float, default=3.0)
@@ -424,7 +432,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except ConfigError as exc:
+        # A usage error writes its manifest into the --out-dir the command
+        # line names, or the default one, under the command word it gives.
+        pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+        pre.add_argument("--out-dir", default="out")
+        try:
+            out_dir = pre.parse_known_args(argv)[0].out_dir
+        except argparse.ArgumentError:
+            out_dir = "out"
+        command = argv[0] if argv and not argv[0].startswith("-") else None
+        return _config_error(argparse.Namespace(out_dir=out_dir, command=command), started, exc)
     return args.func(args)
 
 

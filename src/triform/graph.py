@@ -10,6 +10,7 @@ existing vertices so that it closes a triangle.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -60,8 +61,8 @@ class FormationGraph:
         for u, v in self.edges:
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise GraphSpecError(f"edge ({u}, {v}) references agents outside 1..{self.n}")
-        seen: set[frozenset[int]] = set()
-        for c in self.cliques:
+        index: dict[frozenset[int], int] = {}
+        for i, c in enumerate(self.cliques):
             if len(c) != 3 or len(set(c)) != 3:
                 raise GraphSpecError(f"clique {c} must have three distinct agents")
             for a in c:
@@ -71,18 +72,19 @@ class FormationGraph:
                 if _canonical_edge(u, v) not in self.edges:
                     raise GraphSpecError(f"clique {c} misses edge ({u}, {v})")
             key = frozenset(c)
-            if key in seen:
+            if key in index:
                 raise GraphSpecError(f"clique {tuple(sorted(c))} listed twice")
-            seen.add(key)
+            index[key] = i
         # Re-derive the triangle set from the edges; the stored list must
         # cover it exactly, so scenario typos cannot drop or invent cliques.
         actual = self._triangles()
-        if seen != actual:
-            missing = sorted(tuple(sorted(t)) for t in actual - seen)
-            extra = sorted(tuple(sorted(t)) for t in seen - actual)
+        if index.keys() != actual:
+            missing = sorted(tuple(sorted(t)) for t in actual - index.keys())
+            extra = sorted(tuple(sorted(t)) for t in index.keys() - actual)
             raise GraphSpecError(
                 f"clique list does not match the graph's triangles: missing {missing}, extra {extra}"
             )
+        object.__setattr__(self, "_clique_index", index)
 
     def _triangles(self) -> set[frozenset[int]]:
         adj = self.adjacency()
@@ -105,10 +107,9 @@ class FormationGraph:
     def clique_index(self, agents: Iterable[int]) -> int:
         """Index into ``cliques`` of the triangle with these three agents."""
         key = frozenset(agents)
-        for i, c in enumerate(self.cliques):
-            if frozenset(c) == key:
-                return i
-        raise KeyError(f"no clique over agents {tuple(sorted(key))}")
+        if key not in self._clique_index:
+            raise KeyError(f"no clique over agents {tuple(sorted(key))}")
+        return self._clique_index[key]
 
 
 @dataclass(frozen=True)
@@ -177,6 +178,31 @@ class LamanCheck:
     violation: str | None = None
 
 
+def growth_order(adj: dict[int, set[int]], seed: Edge) -> list[int]:
+    """Grow the graph from a seed edge by triangle-closing additions.
+
+    A vertex is ready once two adjacent vertices among its neighbours are
+    placed; the smallest ready vertex is placed next.  Readiness never lapses,
+    so a heap of ready vertices gives the same order as rescanning all
+    vertices after every placement.  The order is shorter than the vertex
+    count when nothing more can attach.
+    """
+    a, b = seed
+    order = [a, b]
+    placed = {a, b}
+    ready = sorted(adj[a] & adj[b])
+    queued = placed.union(ready)
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        placed.add(v)
+        for w in adj[v] - queued:
+            if adj[w] & adj[v] & placed:
+                heapq.heappush(ready, w)
+                queued.add(w)
+    return order
+
+
 def validate_triangulated_laman(graph: FormationGraph) -> LamanCheck:
     """Check that the graph can be grown by triangle-closing vertex additions.
 
@@ -186,9 +212,9 @@ def validate_triangulated_laman(graph: FormationGraph) -> LamanCheck:
     discovered ordering is returned on success; on failure the violation
     names the first vertex that could not be attached.
 
-    The search is greedy lowest-index-first over all seed edges.  Greedy is
-    complete here: attachability only grows as vertices are placed, so if any
-    valid ordering with a given seed exists the greedy one succeeds too.
+    The search runs :func:`growth_order` from every seed edge in turn.  Greedy
+    is complete here: attachability only grows as vertices are placed, so if
+    any valid ordering with a given seed exists the greedy one succeeds too.
     """
     n = graph.n
     if n == 1:
@@ -197,35 +223,14 @@ def validate_triangulated_laman(graph: FormationGraph) -> LamanCheck:
     if not graph.edges:
         return LamanCheck(ok=False, violation="graph has no edges to seed an ordering")
 
-    def grow(seed: Edge) -> tuple[list[int], set[int]]:
-        order = [seed[0], seed[1]]
-        placed = {seed[0], seed[1]}
-        while len(order) < n:
-            pick = None
-            for v in range(1, n + 1):
-                if v in placed:
-                    continue
-                earlier = adj[v] & placed
-                if len(earlier) >= 2 and any(
-                    b in adj[a] for a, b in combinations(sorted(earlier), 2)
-                ):
-                    pick = v
-                    break
-            if pick is None:
-                break
-            order.append(pick)
-            placed.add(pick)
-        return order, placed
-
     best_order: list[int] = []
-    best_placed: set[int] = set()
     for seed in sorted(graph.edges):
-        order, placed = grow(seed)
+        order = growth_order(adj, seed)
         if len(order) == n:
             return LamanCheck(ok=True, ordering=tuple(order))
         if len(order) > len(best_order):
-            best_order, best_placed = order, placed
-    stuck = min(v for v in range(1, n + 1) if v not in best_placed)
+            best_order = order
+    stuck = min(set(adj).difference(best_order))
     return LamanCheck(
         ok=False,
         violation=(

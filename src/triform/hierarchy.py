@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from .geometry import SQRT3, PlanarVector, Position
-from .graph import DesiredFormation, FormationGraph, validate_triangulated_laman
+from .graph import DesiredFormation, FormationGraph, growth_order, validate_triangulated_laman
 from .potentials import (
     PairPotentialSpec,
     TrianglePotentialSpec,
@@ -84,11 +84,11 @@ def build_hierarchy(graph: FormationGraph, root_edge: tuple[int, int]) -> Hierar
     """Assign potentials layer by layer starting from a root edge.
 
     root_edge[0] becomes the stationary agent, root_edge[1] the pair-anchored
-    one.  Remaining agents are processed greedily lowest-index-first; an agent
-    is ready once two of its already-assigned neighbours are adjacent to each
-    other.  Among ready base pairs the one with the lexicographically smallest
-    (layer, index) agents wins, which reproduces the natural inside-out
-    assignment on lattice-like graphs.
+    one.  Remaining agents are processed in :func:`growth_order`: the
+    lowest-index agent with an adjacent pair of assigned neighbours goes
+    next.  Among its adjacent assigned pairs the one with the
+    lexicographically smallest (layer, index) agents wins, which reproduces
+    the natural inside-out assignment on lattice-like graphs.
 
     Layer labels are 1 for the stationary agent, 2 for the pair agent, and
     2 + hop distance from the stationary agent otherwise (raised to a base's
@@ -112,30 +112,19 @@ def build_hierarchy(graph: FormationGraph, root_edge: tuple[int, int]) -> Hierar
             agent=anchor_target, kind=KIND_PAIR, layer=2, anchor=root
         ),
     }
-    order = [root, anchor_target]
-    assigned = {root, anchor_target}
-
-    while len(assigned) < graph.n:
-        agent = None
-        base = None
-        for v in range(1, graph.n + 1):
-            if v in assigned:
-                continue
-            candidates = [
-                (a, b)
-                for a, b in combinations(sorted(adj[v] & assigned), 2)
-                if b in adj[a]
-            ]
-            if candidates:
-                agent = v
-                base = min(candidates, key=lambda ab: sorted((layer_of[x], x) for x in ab))
-                break
-        if agent is None:
-            stuck = min(v for v in range(1, graph.n + 1) if v not in assigned)
-            raise HierarchyError(
-                f"agent {stuck} has no pair of adjacent assigned neighbours; "
-                f"the graph is not constructible from root edge ({root}, {anchor_target})"
-            )
+    order = growth_order(adj, (root, anchor_target))
+    if len(order) < graph.n:
+        stuck = min(set(adj).difference(order))
+        raise HierarchyError(
+            f"agent {stuck} has no pair of adjacent assigned neighbours; "
+            f"the graph is not constructible from root edge ({root}, {anchor_target})"
+        )
+    for agent in order[2:]:
+        assigned = [a for a in adj[agent] if a in layer_of]
+        base = min(
+            ((a, b) for a, b in combinations(assigned, 2) if b in adj[a]),
+            key=lambda ab: sorted((layer_of[x], x) for x in ab),
+        )
         ci = graph.clique_index((base[0], base[1], agent))
         base1, base2 = _oriented_base(graph.cliques[ci], agent)
         layer = max(2 + hops[agent], layer_of[base1], layer_of[base2])
@@ -148,8 +137,6 @@ def build_hierarchy(graph: FormationGraph, root_edge: tuple[int, int]) -> Hierar
             clique_index=ci,
         )
         layer_of[agent] = layer
-        order.append(agent)
-        assigned.add(agent)
 
     return HierarchyPlan(
         graph=graph,

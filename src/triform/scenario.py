@@ -12,13 +12,14 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
 from .dynamics import IntegratorConfig
 from .geometry import Position
-from .graph import DesiredFormation, FormationGraph, build_example_graph
+from .graph import DesiredFormation, FormationGraph, GraphSpecError, build_example_graph
 from .hierarchy import HierarchyPlan, build_hierarchy
 
 BUILTIN_GRAPHS = ("paper-10", "triangle", "pair")
@@ -188,6 +189,45 @@ def _require(doc: dict[str, Any], key: str, path: str) -> Any:
     return doc[key]
 
 
+def _int(value: Any, path: str) -> int:
+    """An integer field; floats, booleans and strings are refused, not converted."""
+    if type(value) is not int:
+        raise ConfigError(path, f"expected an integer, got {value!r}")
+    return value
+
+
+def _ints(values: Any, path: str, count: int | None = None) -> tuple[int, ...]:
+    """A list of integers, of exactly ``count`` entries when a count is given."""
+    if not (
+        isinstance(values, (list, tuple))
+        and count in (None, len(values))
+        and set(map(type, values)) <= {int}  # bool is not int here
+    ):
+        what = f"a list of {count} integers" if count else "a list of integers"
+        raise ConfigError(path, f"expected {what}, got {values!r}")
+    return tuple(values)
+
+
+def _rows(values: Any, path: str, width: int) -> list[tuple[int, ...]]:
+    """A list of agent-id lists (edges or cliques), each ``width`` integers long."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(path, f"expected a list, got {values!r}")
+    return [_ints(v, f"{path}[{i}]", width) for i, v in enumerate(values)]
+
+
+def _box(values: Any) -> tuple[float, float, float, float]:
+    """``initial.box``: four numbers with finite x and y spans, kept as given."""
+    ok = isinstance(values, (list, tuple)) and len(values) == 4 and all(
+        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values
+    )
+    if ok:
+        xmin, xmax, ymin, ymax = map(float, values)
+        ok = math.isfinite(xmax - xmin) and math.isfinite(ymax - ymin)
+    if not ok:
+        raise ConfigError("initial.box", f"expected four numbers with finite spans, got {values!r}")
+    return tuple(values)
+
+
 def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError("<root>", f"expected an object, got {type(doc).__name__}")
@@ -202,26 +242,24 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
     if isinstance(raw_graph, str):
         graph: str | FormationGraph = raw_graph
     elif isinstance(raw_graph, dict):
+        n = _int(_require(raw_graph, "n", "graph."), "graph.n")
+        edges = _rows(_require(raw_graph, "edges", "graph."), "graph.edges", 2)
+        cliques = _rows(raw_graph.get("cliques", []), "graph.cliques", 3)
+        if n > 2 * len(edges):  # every agent lies on an edge
+            raise ConfigError("graph.n", f"{n} agents cannot all lie on {len(edges)} edges")
         try:
-            graph = FormationGraph(
-                _require(raw_graph, "n", "graph."),
-                _require(raw_graph, "edges", "graph."),
-                raw_graph.get("cliques", []),
-            )
-        except ConfigError:
-            raise
-        except ValueError as exc:
+            graph = FormationGraph(n, edges, cliques)
+        except GraphSpecError as exc:
             raise ConfigError("graph", str(exc)) from exc
     else:
         raise ConfigError("graph", "expected a builtin name or an object")
 
-    root_edge = _require(doc, "root_edge", "")
-    if not (isinstance(root_edge, (list, tuple)) and len(root_edge) == 2):
-        raise ConfigError("root_edge", f"expected a pair of agent ids, got {root_edge!r}")
+    root_edge = _ints(_require(doc, "root_edge", ""), "root_edge", 2)
 
     raw_initial = _require(doc, "initial", "")
     if not isinstance(raw_initial, dict):
         raise ConfigError("initial", "expected an object")
+    seed = raw_initial.get("seed")
     try:
         initial = InitialSpec(
             positions=(
@@ -230,10 +268,10 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
                 else None
             ),
             layout=raw_initial.get("layout"),
-            seed=raw_initial.get("seed"),
-            box=tuple(raw_initial["box"]) if "box" in raw_initial else None,
+            seed=seed if seed is None else _int(seed, "initial.seed"),
+            box=_box(raw_initial["box"]) if "box" in raw_initial else None,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError("initial", str(exc)) from exc
@@ -241,28 +279,28 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
     raw_integrator = doc.get("integrator", {})
     if not isinstance(raw_integrator, dict):
         raise ConfigError("integrator", "expected an object")
+    if "record_stride" in raw_integrator:
+        _int(raw_integrator["record_stride"], "integrator.record_stride")
     try:
         integrator = IntegratorConfig(**raw_integrator)
-    except TypeError as exc:
-        raise ConfigError("integrator", str(exc)) from exc
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError("integrator", str(exc)) from exc
 
     signs = doc.get("z_star_signs")
     try:
         return ScenarioConfig(
             graph=graph,
-            root_edge=(int(root_edge[0]), int(root_edge[1])),
+            root_edge=root_edge,
             d_star=float(_require(doc, "d_star", "")),
             k_gain=float(_require(doc, "k_gain", "")),
             kappa=float(doc.get("kappa", 1.0)),
             initial=initial,
             integrator=integrator,
-            z_star_signs=tuple(int(s) for s in signs) if signs is not None else None,
+            z_star_signs=_ints(signs, "z_star_signs") if signs is not None else None,
         )
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError("<root>", str(exc)) from exc
 
 

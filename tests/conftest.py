@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import insort
 
 import pytest
 
@@ -70,18 +71,17 @@ def grow_henneberg(rng: random.Random, n: int):
     triangles.
     """
     assert n >= 3
-    edges = {(1, 2)}
+    edges = [(1, 2)]  # kept sorted
     cliques = []
     for v in range(3, n + 1):
-        pairs = sorted(edges)
-        a, b = pairs[rng.randrange(len(pairs))]
-        edges.add((min(a, v), max(a, v)))
-        edges.add((min(b, v), max(b, v)))
+        a, b = edges[rng.randrange(len(edges))]
+        insort(edges, (a, v))
+        insort(edges, (b, v))
         if rng.random() < 0.5:
             cliques.append((a, b, v))
         else:
             cliques.append((b, a, v))
-    return sorted(edges), cliques
+    return edges, cliques
 
 
 @pytest.fixture

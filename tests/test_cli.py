@@ -97,6 +97,82 @@ def test_config_errors_carry_field_context(tmp_path):
         load_scenario(bad)
 
 
+def valid_document():
+    return {
+        "graph": {"n": 3, "edges": [[1, 2], [2, 3], [1, 3]], "cliques": [[1, 2, 3]]},
+        "root_edge": [1, 2],
+        "d_star": 2.0,
+        "k_gain": 20.0,
+        "initial": {"seed": 1, "box": [-1.0, 1.0, -1.0, 1.0]},
+        "integrator": {"record_stride": 100},
+    }
+
+
+# case id -> (key path into valid_document(), malformed value, field named in the error)
+MALFORMED = {
+    "root-edge-float": (("root_edge",), [1.7, 2], "root_edge"),
+    "root-edge-bool": (("root_edge",), [1, True], "root_edge"),
+    "signs-float": (("z_star_signs",), [1.0], "z_star_signs"),
+    "signs-bool": (("z_star_signs",), [True], "z_star_signs"),
+    "n-float": (("graph", "n"), 3.9, "graph.n"),
+    "n-bool": (("graph", "n"), True, "graph.n"),
+    "n-beyond-edges": (("graph", "n"), 7, "graph.n"),
+    "stride-float": (("integrator", "record_stride"), 1.5, "integrator.record_stride"),
+    "stride-bool": (("integrator", "record_stride"), True, "integrator.record_stride"),
+    "seed-bool": (("initial", "seed"), True, "initial.seed"),
+    "seed-string": (("initial", "seed"), "abc", "initial.seed"),
+    "seed-list": (("initial", "seed"), [1], "initial.seed"),
+    "box-string": (("initial", "box"), "abcd", "initial.box"),
+    "box-three-numbers": (("initial", "box"), [-1.0, 1.0, -1.0], "initial.box"),
+    "box-bool": (("initial", "box"), [-1.0, 1.0, False, 1.0], "initial.box"),
+    "box-infinite": (("initial", "box"), [-1.0, math.inf, -1.0, 1.0], "initial.box"),
+    "box-overflowing-span": (("initial", "box"), [-1e308, 1e308, -1.0, 1.0], "initial.box"),
+    "box-huge-integer": (("initial", "box"), [-1, 10**400, -1, 1], "initial.box"),
+    "d-star-huge-integer": (("d_star",), 10**400, "<root>"),
+    "dt-huge-integer": (("integrator", "dt"), 10**400, "integrator"),
+    "edges-null": (("graph", "edges"), None, "graph.edges"),
+    "edges-number": (("graph", "edges"), [1], "graph.edges[0]"),
+    "cliques-number": (("graph", "cliques"), [5], "graph.cliques[0]"),
+}
+
+
+def malformed_document(case):
+    path, value, _ = MALFORMED[case]
+    doc = valid_document()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_config_from_dict_rejects_malformed_values(case):
+    config_from_dict(valid_document())
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(malformed_document(case))
+    assert err.value.field_path == MALFORMED[case][2]
+
+
+@pytest.mark.parametrize("case", ["seed-list", "edges-number"])
+def test_simulate_rejects_malformed_document(tmp_path, case):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(malformed_document(case)))
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--config", cfg_path, "--out-dir", out) == 64
+    manifest = strict_manifest(out)
+    assert manifest["termination_reason"] == "config-error"
+    assert manifest["error"].startswith(MALFORMED[case][2] + ":")
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+def test_agent_count_bounded_by_edges_before_graph_is_built():
+    doc = valid_document()
+    doc["graph"] = {"n": 10**12, "edges": [[1, 2]]}
+    with pytest.raises(ConfigError, match="cannot all lie on 1 edges"):
+        config_from_dict(doc)
+
+
 def test_resolve_checks_position_count():
     cfg = triangle_config(initial=InitialSpec(positions=((0.0, 0.0), (1.0, 0.0))))
     with pytest.raises(ConfigError, match="initial.positions"):
@@ -364,6 +440,8 @@ def test_basin_jobs_capped_by_cpus_and_cells(tmp_path, monkeypatch, jobs, grid, 
         (["basin", "--k", 20.0, "--xmin=-inf", "--xmax", "inf"], "grid bounds"),
         (["basin", "--k", 20.0, "--xmin=-1e308", "--xmax", "1e308"], "grid bounds"),
         (["sweep-gain", "--k-range", "1:1:1", "--xmax", "inf"], "grid bounds"),
+        (["basin", "--k", 1.0, "--grid", "-1x2"], "--grid"),
+        (["basin"], "--k"),
     ],
     ids=[
         "sweep-negative-d-star",
@@ -381,6 +459,8 @@ def test_basin_jobs_capped_by_cpus_and_cells(tmp_path, monkeypatch, jobs, grid, 
         "basin-infinite-bounds",
         "basin-overflowing-span",
         "sweep-infinite-bound",
+        "basin-grid-read-as-option",
+        "basin-missing-gain",
     ],
 )
 def test_rejected_inputs_write_a_config_error_manifest(tmp_path, argv, field):
@@ -392,6 +472,13 @@ def test_rejected_inputs_write_a_config_error_manifest(tmp_path, argv, field):
     assert manifest["termination_reason"] == "config-error"
     assert field in manifest["error"]
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("basin", "--help")
+    assert exc.value.code == 0
+    assert "--grid" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
