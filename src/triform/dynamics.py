@@ -3,8 +3,10 @@
 The coupled system moves every agent along its own control input.  Runs end
 when the largest control norm drops below a tolerance (converged), when the
 time budget runs out (timeout), or when any coordinate leaves a large bound
-or stops being finite (diverged).  The inner loop works on flat coordinate
-lists; trajectories are recorded on a stride and returned as arrays.
+or the state or the control field stops being finite (diverged).  The inner
+loop works on flat coordinate lists, or on float64 arrays for formations of
+at least ``ARRAY_MIN_AGENTS`` agents; trajectories are recorded on a stride
+and returned as arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .analysis import FAMILY_APEX, enumerate_triangle_equilibria, match_equilibrium
 from .geometry import Position
 from .graph import DesiredFormation, formation_errors
-from .hierarchy import HierarchyPlan, compile_field
+from .hierarchy import HierarchyPlan, compile_field, uses_array_kernel
 
 CONVERGED = "converged"
 TIMEOUT = "timeout"
@@ -93,6 +95,7 @@ class SimulationResult:
         return self.trajectory.final_positions()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is caught as divergence
 def simulate(
     plan: HierarchyPlan,
     df: DesiredFormation,
@@ -119,11 +122,21 @@ def simulate(
 
     field_eval = compile_field(plan, df, k_gain=k_gain, kappa=kappa)
     size = 2 * n
-    u = [0.0] * size
-    k2 = [0.0] * size
-    k3 = [0.0] * size
-    k4 = [0.0] * size
-    tmp = [0.0] * size
+    # Large formations hold the state and the RK4 stages as float64 arrays and
+    # update them whole; the expressions and their order match the scalar loops.
+    arrays = uses_array_kernel(n)
+    if arrays:
+        p = np.array(p)
+        u = np.zeros(size)
+        k2 = np.zeros(size)
+        k3 = np.zeros(size)
+        k4 = np.zeros(size)
+    else:
+        u = [0.0] * size
+        k2 = [0.0] * size
+        k3 = [0.0] * size
+        k4 = [0.0] * size
+        tmp = [0.0] * size
 
     dt = cfg.dt
     half = 0.5 * dt
@@ -140,10 +153,11 @@ def simulate(
 
     def record(step: int, gmax2: float) -> None:
         nonlocal last_recorded
-        snap = [Position(p[2 * m], p[2 * m + 1]) for m in range(n)]
+        state = p.tolist() if arrays else list(p)
+        snap = [Position(state[2 * m], state[2 * m + 1]) for m in range(n)]
         dist_err, area_err = formation_errors(df, snap)
         times.append(step * dt)
-        states.append(list(p))
+        states.append(state)
         metrics.append((dist_err, area_err, math.sqrt(gmax2)))
         last_recorded = step
 
@@ -152,13 +166,20 @@ def simulate(
     step = 0
     while True:
         field_eval(p, u)
-        gmax2 = 0.0
-        for m in range(0, size, 2):
-            g2 = u[m] * u[m] + u[m + 1] * u[m + 1]
-            if g2 > gmax2:
-                gmax2 = g2
+        if arrays:
+            gmax2 = float(np.max(u[0::2] * u[0::2] + u[1::2] * u[1::2]))
+        else:
+            gmax2 = 0.0
+            for m in range(0, size, 2):
+                g2 = u[m] * u[m] + u[m + 1] * u[m + 1]
+                if g2 > gmax2 or g2 != g2:  # a NaN sticks, as in np.max
+                    gmax2 = g2
         if step % cfg.record_stride == 0:
             record(step, gmax2)
+        if not math.isfinite(gmax2):  # NaN or overflowing field
+            reason = DIVERGED
+            diverged_at = step * dt
+            break
         if gmax2 < tol2:
             reason = CONVERGED
             break
@@ -166,29 +187,38 @@ def simulate(
             reason = TIMEOUT
             break
 
-        if rk4:
-            for m in range(size):
-                tmp[m] = p[m] + half * u[m]
-            field_eval(tmp, k2)
-            for m in range(size):
-                tmp[m] = p[m] + half * k2[m]
-            field_eval(tmp, k3)
-            for m in range(size):
-                tmp[m] = p[m] + dt * k3[m]
-            field_eval(tmp, k4)
-            for m in range(size):
-                p[m] += sixth * (u[m] + 2.0 * (k2[m] + k3[m]) + k4[m])
+        if arrays:
+            if rk4:
+                field_eval(p + half * u, k2)
+                field_eval(p + half * k2, k3)
+                field_eval(p + dt * k3, k4)
+                p += sixth * (u + 2.0 * (k2 + k3) + k4)
+            else:
+                p += dt * u
+            worst = float(np.max(np.abs(p)))
         else:
+            if rk4:
+                for m in range(size):
+                    tmp[m] = p[m] + half * u[m]
+                field_eval(tmp, k2)
+                for m in range(size):
+                    tmp[m] = p[m] + half * k2[m]
+                field_eval(tmp, k3)
+                for m in range(size):
+                    tmp[m] = p[m] + dt * k3[m]
+                field_eval(tmp, k4)
+                for m in range(size):
+                    p[m] += sixth * (u[m] + 2.0 * (k2[m] + k3[m]) + k4[m])
+            else:
+                for m in range(size):
+                    p[m] += dt * u[m]
+            worst = 0.0
             for m in range(size):
-                p[m] += dt * u[m]
+                a = abs(p[m])
+                if a > worst or a != a:
+                    worst = a
         step += 1
-
-        worst = 0.0
-        for m in range(size):
-            a = abs(p[m])
-            if a > worst:
-                worst = a
-        if not worst <= bound:  # also catches NaN
+        if not worst <= bound:  # NaN too
             reason = DIVERGED
             diverged_at = step * dt
             break

@@ -215,11 +215,24 @@ def _rows(values: Any, path: str, width: int) -> list[tuple[int, ...]]:
     return [_ints(v, f"{path}[{i}]", width) for i, v in enumerate(values)]
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
+def _is_number(value: Any) -> bool:
+    """A JSON integer or float that is finite as a float; booleans are not numbers."""
+    return type(value) in (int, float) and abs(value) <= _FLOAT_MAX
+
+
+def _number(value: Any, path: str) -> float:
+    """A float field; booleans, strings and non-finite values are refused, not converted."""
+    if not _is_number(value):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _box(values: Any) -> tuple[float, float, float, float]:
     """``initial.box``: four numbers with finite x and y spans, kept as given."""
-    ok = isinstance(values, (list, tuple)) and len(values) == 4 and all(
-        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values
-    )
+    ok = isinstance(values, (list, tuple)) and len(values) == 4 and all(map(_is_number, values))
     if ok:
         xmin, xmax, ymin, ymax = map(float, values)
         ok = math.isfinite(xmax - xmin) and math.isfinite(ymax - ymin)
@@ -263,7 +276,10 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
     try:
         initial = InitialSpec(
             positions=(
-                tuple((float(x), float(y)) for x, y in raw_initial["positions"])
+                tuple(
+                    (_number(x, f"initial.positions[{i}]"), _number(y, f"initial.positions[{i}]"))
+                    for i, (x, y) in enumerate(raw_initial["positions"])
+                )
                 if "positions" in raw_initial
                 else None
             ),
@@ -271,7 +287,7 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
             seed=seed if seed is None else _int(seed, "initial.seed"),
             box=_box(raw_initial["box"]) if "box" in raw_initial else None,
         )
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError("initial", str(exc)) from exc
@@ -281,27 +297,25 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
         raise ConfigError("integrator", "expected an object")
     if "record_stride" in raw_integrator:
         _int(raw_integrator["record_stride"], "integrator.record_stride")
+    for key in ("dt", "t_max", "grad_norm_tol", "divergence_bound"):
+        if key in raw_integrator:
+            _number(raw_integrator[key], f"integrator.{key}")
     try:
         integrator = IntegratorConfig(**raw_integrator)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError("integrator", str(exc)) from exc
 
     signs = doc.get("z_star_signs")
-    try:
-        return ScenarioConfig(
-            graph=graph,
-            root_edge=root_edge,
-            d_star=float(_require(doc, "d_star", "")),
-            k_gain=float(_require(doc, "k_gain", "")),
-            kappa=float(doc.get("kappa", 1.0)),
-            initial=initial,
-            integrator=integrator,
-            z_star_signs=_ints(signs, "z_star_signs") if signs is not None else None,
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError("<root>", str(exc)) from exc
+    return ScenarioConfig(
+        graph=graph,
+        root_edge=root_edge,
+        d_star=_number(_require(doc, "d_star", ""), "d_star"),
+        k_gain=_number(_require(doc, "k_gain", ""), "k_gain"),
+        kappa=_number(doc.get("kappa", 1.0), "kappa"),
+        initial=initial,
+        integrator=integrator,
+        z_star_signs=_ints(signs, "z_star_signs") if signs is not None else None,
+    )
 
 
 def save_scenario(config: ScenarioConfig, path: str | Path) -> None:

@@ -8,7 +8,7 @@ from bisect import insort
 
 import pytest
 
-from triform import PlanarVector, Position
+from triform import DesiredFormation, FormationGraph, PlanarVector, Position, build_hierarchy
 
 
 def fd_gradient(f, p: Position, h: float = 1e-6) -> PlanarVector:
@@ -82,6 +82,13 @@ def grow_henneberg(rng: random.Random, n: int):
         else:
             cliques.append((b, a, v))
     return edges, cliques
+
+
+def grown_formation(rng: random.Random, n: int, d_star: float = 2.0):
+    """A grown graph of n agents with random clique signs: (graph, formation, plan from (1, 2))."""
+    graph = FormationGraph(n, *grow_henneberg(rng, n))
+    df = DesiredFormation(graph, d_star, tuple(rng.choice((-1, 1)) for _ in graph.cliques))
+    return graph, df, build_hierarchy(graph, (1, 2))
 
 
 @pytest.fixture

@@ -1,12 +1,13 @@
 import importlib.util
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
 
 import triform.cli
-from triform import FormationGraph, IntegratorConfig
+from triform import FormationGraph, IntegratorConfig, target_positions
 from triform.cli import main
 from triform.scenario import (
     ConfigError,
@@ -20,6 +21,8 @@ from triform.scenario import (
     save_scenario,
     two_columns_layout,
 )
+
+from conftest import grown_formation
 
 SQRT3 = math.sqrt(3.0)
 
@@ -128,8 +131,22 @@ MALFORMED = {
     "box-infinite": (("initial", "box"), [-1.0, math.inf, -1.0, 1.0], "initial.box"),
     "box-overflowing-span": (("initial", "box"), [-1e308, 1e308, -1.0, 1.0], "initial.box"),
     "box-huge-integer": (("initial", "box"), [-1, 10**400, -1, 1], "initial.box"),
-    "d-star-huge-integer": (("d_star",), 10**400, "<root>"),
-    "dt-huge-integer": (("integrator", "dt"), 10**400, "integrator"),
+    "d-star-huge-integer": (("d_star",), 10**400, "d_star"),
+    "dt-huge-integer": (("integrator", "dt"), 10**400, "integrator.dt"),
+    "d-star-bool": (("d_star",), True, "d_star"),
+    "k-gain-string": (("k_gain",), "20", "k_gain"),
+    "kappa-string": (("kappa",), "1", "kappa"),
+    "kappa-nan": (("kappa",), math.nan, "kappa"),
+    "dt-bool": (("integrator", "dt"), True, "integrator.dt"),
+    "t-max-string": (("integrator", "t_max"), "50", "integrator.t_max"),
+    "tolerance-list": (("integrator", "grad_norm_tol"), [1e-9], "integrator.grad_norm_tol"),
+    "bound-bool": (("integrator", "divergence_bound"), True, "integrator.divergence_bound"),
+    "position-string": (
+        ("initial",), {"positions": [[-1.0, 0.0], [1.0, 0.0], ["0.3", 2.0]]}, "initial.positions[2]"
+    ),
+    "position-bool": (
+        ("initial",), {"positions": [[-1.0, 0.0], [1.0, False], [0.3, 2.0]]}, "initial.positions[1]"
+    ),
     "edges-null": (("graph", "edges"), None, "graph.edges"),
     "edges-number": (("graph", "edges"), [1], "graph.edges[0]"),
     "cliques-number": (("graph", "cliques"), [5], "graph.cliques[0]"),
@@ -154,7 +171,7 @@ def test_config_from_dict_rejects_malformed_values(case):
     assert err.value.field_path == MALFORMED[case][2]
 
 
-@pytest.mark.parametrize("case", ["seed-list", "edges-number"])
+@pytest.mark.parametrize("case", ["seed-list", "edges-number", "dt-bool"])
 def test_simulate_rejects_malformed_document(tmp_path, case):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(malformed_document(case)))
@@ -284,6 +301,20 @@ def test_simulate_divergence_exit_code(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["termination_reason"] == "diverged"
     assert manifest["diverged_at"] > 0
+
+
+def test_simulate_blown_up_run_exits_as_diverged(tmp_path):
+    # The field norm overflows at the start; this run used to end "converged".
+    cfg = triangle_config(
+        kappa=1e200, initial=InitialSpec(positions=((-1.0, 0.0), (1.0, 0.0), (0.3, 2.0)))
+    )
+    cfg_path = tmp_path / "blowup.json"
+    save_scenario(cfg, cfg_path)
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--config", cfg_path, "--out-dir", out) == 3
+    manifest = strict_manifest(out)
+    assert (manifest["termination_reason"], manifest["steps"]) == ("diverged", 0)
+    assert manifest["diverged_at"] == 0.0
 
 
 def test_shipped_benchmark_scenario_runs(tmp_path):
@@ -524,6 +555,34 @@ def test_tracer_call_sites_resolve():
     tracer = load_tracer()
     missing = [f"{mod.__name__}.{attr}" for mod, attr, _ in tracer.CALL_SITES if not hasattr(mod, attr)]
     assert missing == []
+
+
+def test_traced_array_simulate_counts_every_field_evaluation(tmp_path):
+    # Above ARRAY_MIN_AGENTS the numpy field must still pass through the tracer.
+    rng = random.Random(11)
+    graph, df, plan = grown_formation(rng, triform.hierarchy.ARRAY_MIN_AGENTS + 1)
+    start = tuple(
+        (q.x + rng.uniform(-0.1, 0.1), q.y + rng.uniform(-0.1, 0.1))
+        for q in target_positions(plan, df)
+    )
+    cfg = ScenarioConfig(
+        graph=graph,
+        root_edge=(1, 2),
+        d_star=2.0,
+        k_gain=20.0,
+        kappa=20.0,
+        initial=InitialSpec(positions=start),
+        integrator=IntegratorConfig(grad_norm_tol=1e-6),
+        z_star_signs=df.z_star_signs,
+    )
+    cfg_path = tmp_path / "grown.json"
+    save_scenario(cfg, cfg_path)
+    tr = load_tracer().Tracer()
+    with tr.patched():
+        assert run_cli("simulate", "--config", cfg_path, "--out-dir", tmp_path / "run") == 0
+    (span,) = [sp for sp in tr.spans if sp.name == "dynamics.simulate"]
+    assert span.attrs["reason"] == "converged" and span.attrs["steps"] > 0
+    assert span.field_evals == 1 + 4 * span.attrs["steps"]
 
 
 def test_traced_basin_records_its_layers(tmp_path):

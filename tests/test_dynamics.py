@@ -1,4 +1,6 @@
 import math
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +18,12 @@ from triform import (
     simulate,
     total_potential,
 )
+from triform import hierarchy
 from triform.dynamics import CONVERGED, DIVERGED, TIMEOUT
+from triform.hierarchy import target_positions
 from triform.scenario import two_columns_layout
+
+from conftest import grown_formation
 
 SQRT3 = math.sqrt(3.0)
 
@@ -195,6 +201,58 @@ def test_recording_stride_and_endpoints():
     for ti in t[1:-1]:
         assert round(ti / cfg.dt) % cfg.record_stride == 0
     assert res.trajectory.metrics.shape == (len(t), 3)
+
+
+# case: (kappa, k_gain, free agent start, steps taken); each run used to end "converged"
+NON_FINITE = {
+    "field-norm-overflows": (1e200, 20.0, (0.3, 2.0), 0),
+    "field-is-nan": (1.0, 1.7e308, (0.3, 10.0), 0),
+    "state-turns-nan": (1e100, 20.0, (0.3, 2.0), 1),
+}
+
+
+@pytest.mark.parametrize("arrays", [False, True], ids=["scalar", "arrays"])
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_state_or_field_is_divergence(monkeypatch, case, arrays):
+    kappa, k_gain, start, steps = NON_FINITE[case]
+    monkeypatch.setattr(hierarchy, "ARRAY_MIN_AGENTS", 3 if arrays else 4)
+    df, plan = triangle_setup()
+    cfg = IntegratorConfig(record_stride=1)
+    res = simulate(plan, df, pinned_init(*start), cfg, k_gain=k_gain, kappa=kappa)
+    assert (res.reason, res.steps) == (DIVERGED, steps)
+    assert res.diverged_at == res.t_final == steps * 1e-3
+    assert np.isfinite(res.trajectory.states).all()
+
+
+# ending: (integrator settings, spread of the start around the target)
+ENDINGS = {
+    CONVERGED: (IntegratorConfig(grad_norm_tol=1e-6, record_stride=7), 0.1),
+    TIMEOUT: (IntegratorConfig(t_max=0.05, record_stride=7), 0.1),
+    DIVERGED: (IntegratorConfig(dt=0.5, t_max=10.0), 30.0),
+}
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("ending", sorted(ENDINGS))
+def test_array_and_scalar_paths_agree_bit_for_bit(monkeypatch, method, ending):
+    cfg, spread = ENDINGS[ending]
+    cfg = replace(cfg, method=method)
+    rng = random.Random(7)
+    _, df, plan = grown_formation(rng, 12)
+    init = [
+        Position(q.x + rng.uniform(-spread, spread), q.y + rng.uniform(-spread, spread))
+        for q in target_positions(plan, df)
+    ]
+    runs = []
+    for threshold in (plan.graph.n + 1, plan.graph.n):  # scalar loops, then arrays
+        monkeypatch.setattr(hierarchy, "ARRAY_MIN_AGENTS", threshold)
+        runs.append(simulate(plan, df, init, cfg, k_gain=20.0, kappa=20.0))
+    scalar, arrays = runs
+    assert scalar.reason == arrays.reason == ending
+    assert (scalar.steps, scalar.diverged_at) == (arrays.steps, arrays.diverged_at)
+    for name in ("times", "states", "metrics"):
+        a, b = getattr(scalar.trajectory, name), getattr(arrays.trajectory, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def test_simulate_rejects_wrong_agent_count():

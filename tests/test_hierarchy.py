@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from triform import (
@@ -14,9 +15,10 @@ from triform import (
     target_positions,
     total_potential,
 )
+from triform import hierarchy
 from triform.hierarchy import KIND_PAIR, KIND_STATIONARY, KIND_TRIANGLE, compile_field
 
-from conftest import grow_henneberg
+from conftest import grow_henneberg, grown_formation
 
 SQRT3 = math.sqrt(3.0)
 
@@ -243,19 +245,21 @@ def test_kappa_scales_field_exactly(rng):
 
 
 def test_compiled_field_agrees_with_reference(rng):
-    for setup in (triangle_setup, example_setup):
+    n_large = hierarchy.ARRAY_MIN_AGENTS + 7
+    for setup in (triangle_setup, example_setup, lambda: grown_formation(rng, n_large)):
         _, df, plan = setup()
         n = plan.graph.n
+        arrays = n >= hierarchy.ARRAY_MIN_AGENTS
         kappa = rng.uniform(0.5, 2.0)
         fast = compile_field(plan, df, k_gain=20.0, kappa=kappa)
-        out = [0.0] * (2 * n)
+        out = np.full(2 * n, np.nan) if arrays else [0.0] * (2 * n)
         for _ in range(50):
             pts = [Position(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(n)]
             flat = [c for p in pts for c in (p.x, p.y)]
-            fast(flat, out)
+            fast(np.array(flat) if arrays else flat, out)
             ref = control_field(plan, df, pts, k_gain=20.0, kappa=kappa)
-            for m, v in enumerate(ref):
-                assert out[2 * m] == v.dx and out[2 * m + 1] == v.dy
+            want = [c for v in ref for c in (v.dx, v.dy)]
+            assert np.array(out).tobytes() == np.array(want).tobytes()  # signed zeros too
 
 
 def test_total_potential_zero_only_at_target(rng):
