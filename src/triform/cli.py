@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import platform
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -19,6 +20,9 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+import numpy as np
+
+from . import __version__
 from .analysis import (
     FAMILY_APEX,
     K_LOW,
@@ -36,6 +40,7 @@ from .dynamics import (
     BasinCell,
     GridSpec,
     IntegratorConfig,
+    Trajectory,
     probe_points,
     simulate,
 )
@@ -57,6 +62,7 @@ EXIT_CONFIG = 64
 
 _REASON_EXIT = {CONVERGED: EXIT_OK, TIMEOUT: EXIT_TIMEOUT, DIVERGED: EXIT_DIVERGED}
 _MAX_GAINS = 10_000  # --k-range enumerates at most this many gains
+_VERSIONS = {"triform": __version__, "python": platform.python_version(), "numpy": np.__version__}
 
 
 def _fmt(value: Any) -> str:
@@ -68,15 +74,40 @@ def _fmt(value: Any) -> str:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(map(_fmt, row)) + "\n")
+
+
+def _write_trajectory(out_dir: Path, traj: Trajectory) -> None:
+    """Write trajectory.csv and metrics.csv, one row per recorded sample.
+
+    Each sample's time and metric fields are formatted once and shared by
+    both files; floats are written as their repr.
+    """
+    samples, n, _ = traj.states.shape
+    coords = [f"{axis}_{i}" for i in range(1, n + 1) for axis in "xy"]
+    errors = ["max_dist_err", "max_area_err", "max_u_norm"]
+    with (out_dir / "trajectory.csv").open("w") as traj_f, (out_dir / "metrics.csv").open("w") as met_f:
+        traj_f.write(",".join(["t", *coords, *errors]) + "\n")
+        met_f.write(",".join(["t", *errors]) + "\n")
+        rows = zip(traj.times.tolist(), traj.states.reshape(samples, 2 * n), traj.metrics.tolist())
+        for t, state, metric in rows:
+            head = repr(t)
+            tail = ",".join(map(repr, metric))
+            traj_f.write(f"{head},{','.join(map(repr, state.tolist()))},{tail}\n")
+            met_f.write(f"{head},{tail}\n")
+
+
+def _finite_or_none(value: float) -> float | None:
+    """Strict JSON has no inf or NaN; such values are written as null."""
+    return value if math.isfinite(value) else None
 
 
 def _write_manifest(out_dir: Path, command: str, started: float, **payload: Any) -> None:
-    """Write manifest.json: the command, its fields and the wall time, as strict JSON."""
-    payload.update(command=command, wall_time_s=time.perf_counter() - started)
+    """Write manifest.json: the command, its fields, versions and the wall time, as strict JSON."""
+    payload.update(command=command, versions=_VERSIONS, wall_time_s=time.perf_counter() - started)
     out_dir.mkdir(parents=True, exist_ok=True)
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     (out_dir / "manifest.json").write_text(text + "\n")
@@ -150,24 +181,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     n = scenario.graph.n
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    coord_header = [f"x_{i}" for i in range(1, n + 1)]
-    coord_header = [c for pair in zip(coord_header, (f"y_{i}" for i in range(1, n + 1))) for c in pair]
-    _write_csv(
-        out_dir / "trajectory.csv",
-        ["t", *coord_header, "max_dist_err", "max_area_err", "max_u_norm"],
-        (
-            [float(t), *(float(v) for v in state.reshape(-1)), *(float(m) for m in metric)]
-            for t, state, metric in zip(traj.times, traj.states, traj.metrics)
-        ),
-    )
-    _write_csv(
-        out_dir / "metrics.csv",
-        ["t", "max_dist_err", "max_area_err", "max_u_norm"],
-        (
-            [float(t), *(float(m) for m in metric)]
-            for t, metric in zip(traj.times, traj.metrics)
-        ),
-    )
+    _write_trajectory(out_dir, traj)
 
     final = traj.final_positions()
     dist_err, area_err = formation_errors(scenario.formation, final)
@@ -176,8 +190,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "termination_reason": result.reason,
         "t_final": result.t_final,
         "steps": result.steps,
-        "final_max_dist_err": dist_err,
-        "final_max_area_err": area_err,
+        "final_max_dist_err": _finite_or_none(dist_err),
+        "final_max_area_err": _finite_or_none(area_err),
         "outputs": ["trajectory.csv", "metrics.csv"],
     }
     if result.diverged_at is not None:

@@ -12,6 +12,7 @@ and returned as arrays.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -146,24 +147,24 @@ def simulate(
     max_steps = int(math.ceil(cfg.t_max / dt))
     rk4 = cfg.method == "rk4"
 
-    times: list[float] = []
-    states: list[list[float]] = []
-    metrics: list[tuple[float, float, float]] = []
+    # Samples go to flat buffers: coordinates, times and field norms; the
+    # formation errors of all samples are computed once at the end.
+    coords = array("d")
+    times = array("d")
+    u_norms = array("d")
     last_recorded = -1
 
     def record(step: int, gmax2: float) -> None:
         nonlocal last_recorded
-        state = p.tolist() if arrays else list(p)
-        snap = [Position(state[2 * m], state[2 * m + 1]) for m in range(n)]
-        dist_err, area_err = formation_errors(df, snap)
+        coords.fromlist(p.tolist() if arrays else p)
         times.append(step * dt)
-        states.append(state)
-        metrics.append((dist_err, area_err, math.sqrt(gmax2)))
+        u_norms.append(math.sqrt(gmax2))
         last_recorded = step
 
     reason = TIMEOUT
     diverged_at: float | None = None
     step = 0
+    worst = 0.0
     while True:
         field_eval(p, u)
         if arrays:
@@ -223,17 +224,17 @@ def simulate(
             diverged_at = step * dt
             break
 
-    if last_recorded != step:
-        try:
-            record(step, gmax2)
-        except ValueError:
-            # Non-finite coordinates after divergence: keep the last good sample.
-            pass
+    # After a divergence the state may no longer be finite (worst is then inf
+    # or NaN); the last good sample is kept instead.
+    if last_recorded != step and math.isfinite(worst):
+        record(step, gmax2)
 
+    states = np.frombuffer(coords).reshape(len(times), n, 2)
+    dist_err, area_err = formation_errors(df, states)
     trajectory = Trajectory(
-        times=np.asarray(times),
-        states=np.asarray(states).reshape(len(times), n, 2),
-        metrics=np.asarray(metrics),
+        times=np.frombuffer(times),
+        states=states,
+        metrics=np.column_stack((dist_err, area_err, np.frombuffer(u_norms))),
     )
     return SimulationResult(
         trajectory=trajectory,

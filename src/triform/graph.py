@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .geometry import SQRT3, Position, distance, signed_area
+import numpy as np
+
+from .geometry import SQRT3, Position
 
 Edge = tuple[int, int]
 Clique = tuple[int, int, int]
@@ -240,23 +242,41 @@ def validate_triangulated_laman(graph: FormationGraph) -> LamanCheck:
     )
 
 
-def formation_errors(df: DesiredFormation, positions: Sequence[Position]) -> tuple[float, float]:
+@np.errstate(over="ignore", invalid="ignore")  # huge or non-finite inputs give inf/NaN errors
+def formation_errors(
+    df: DesiredFormation, positions: Sequence[Position] | np.ndarray
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Worst distance error over edges and worst signed-area error over cliques.
 
-    positions[i-1] is agent i.  Returns (max |dist - d_star|, max |Z - Z_star|);
-    either maximum is 0.0 when the corresponding set is empty.
+    ``positions`` is a sequence of n Position values, positions[i-1] being
+    agent i, or an array of shape (..., n, 2) whose leading axes index
+    samples.  Returns (max |dist - d_star|, max |Z - Z_star|) as Python floats
+    for one formation, or as arrays over the leading axes for a stack.  Either
+    maximum is 0.0 when the corresponding set is empty; a NaN error is
+    skipped, never returned.
     """
-    if len(positions) != df.graph.n:
-        raise ValueError(f"expected {df.graph.n} positions, got {len(positions)}")
-    dist_err = 0.0
-    for u, v in df.graph.edges:
-        e = abs(distance(positions[u - 1], positions[v - 1]) - df.d_star)
-        if e > dist_err:
-            dist_err = e
-    area_err = 0.0
-    for ci, (i, j, k) in enumerate(df.graph.cliques):
-        z = signed_area(positions[i - 1], positions[j - 1], positions[k - 1])
-        e = abs(z - df.z_star(ci))
-        if e > area_err:
-            area_err = e
+    n = df.graph.n
+    if isinstance(positions, np.ndarray):
+        p = np.asarray(positions, dtype=float)
+    else:
+        p = np.array([q.as_tuple() for q in positions])
+    if p.shape[-2:] != (n, 2):
+        raise ValueError(f"expected {n} positions, got an array of shape {p.shape}")
+    x, y = p[..., 0], p[..., 1]
+    u, v = (np.array(sorted(df.graph.edges), dtype=np.intp).reshape(-1, 2) - 1).T
+    # distance(): sqrt(dx * dx + dy * dy) with dx = pu.x - pv.x
+    dx = x[..., u] - x[..., v]
+    dy = y[..., u] - y[..., v]
+    dist = np.abs(np.sqrt(dx * dx + dy * dy) - df.d_star)
+    i, j, k = (np.array(df.graph.cliques, dtype=np.intp).reshape(-1, 3) - 1).T
+    # signed_area(), operands in the same order
+    xi, yi = x[..., i], y[..., i]
+    z = 0.5 * ((x[..., j] - xi) * (y[..., k] - yi) - (x[..., k] - xi) * (y[..., j] - yi))
+    z_star = np.array([df.z_star(ci) for ci in range(len(i))])
+    area = np.abs(z - z_star)
+    # fmax skips NaN like the scalar ``e > worst`` test; max() would return it
+    dist_err = np.fmax.reduce(dist, axis=-1, initial=0.0)
+    area_err = np.fmax.reduce(area, axis=-1, initial=0.0)
+    if p.ndim == 2:
+        return float(dist_err), float(area_err)
     return dist_err, area_err

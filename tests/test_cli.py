@@ -1,12 +1,17 @@
+import hashlib
 import importlib.util
 import json
 import math
+import platform
 import random
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 
 import triform.cli
+import triform
 from triform import FormationGraph, IntegratorConfig, target_positions
 from triform.cli import main
 from triform.scenario import (
@@ -25,6 +30,7 @@ from triform.scenario import (
 from conftest import grown_formation
 
 SQRT3 = math.sqrt(3.0)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def triangle_config(**overrides):
@@ -317,6 +323,105 @@ def test_simulate_blown_up_run_exits_as_diverged(tmp_path):
     assert manifest["diverged_at"] == 0.0
 
 
+def shipped(name):
+    return json.loads((SCENARIOS / name).read_text())
+
+
+def golden_runs():
+    """name -> (scenario document, extra flags) of the runs pinned by GOLDEN."""
+    paper10 = shipped("paper10-two-columns-k20.json")
+    paper10["integrator"]["record_stride"] = 1
+    start = ((-1.0, 0.0), (1.0, 0.0), (0.3, 2.0))
+    # the field norm overflows at step 0
+    blown_up = triangle_config(kappa=1e200, initial=InitialSpec(positions=start))
+    # the state turns NaN in step 1; that final sample is dropped
+    nan_state = triangle_config(
+        kappa=1e100, initial=InitialSpec(positions=start), integrator=IntegratorConfig(record_stride=1)
+    )
+    return {
+        "paper10-dense": (paper10, ["--t-max", 2]),
+        "flip": (shipped("triangle-flip-k06.json"), []),
+        "blown-up": (config_to_dict(blown_up), []),
+        "nan-state": (config_to_dict(nan_state), []),
+    }
+
+
+# name -> (exit code, samples, sha256 of trajectory.csv, sha256 of metrics.csv),
+# as written by the per-sample recording these bytes must not move from.
+GOLDEN = {
+    "paper10-dense": (
+        2,
+        2001,
+        "7fae274e702b51b84cd1addaa4b4c82b166493d2e665824c1247fa7ad22cb26d",
+        "2c72e51eb5eeb5323a5255c4e480d84696211bf5ce362729720abe29f99b18e4",
+    ),
+    "flip": (
+        0,
+        26,
+        "abf795c7758797a1c40e2d1a5772a5dc88364db458d986b1096abdb48bb1ed0f",
+        "244ee91c72b8aeead7b0b2ba61f3d2221ef8168a98a0291036c899011eb7de36",
+    ),
+    "blown-up": (
+        3,
+        1,
+        "8228771011a8be9a7bbbe1b8af22b479b8b36747c4595bad93b7478b8af34403",
+        "3ebae5a2b51c799b3341c24240d1948f9a30a60c9bfd42abbcd662c245aaca14",
+    ),
+    "nan-state": (
+        3,
+        1,
+        "a62cf11aa0e492e3e509f36370023113498f27ac782a893cf7e6a52edf141357",
+        "21f98fa594e3c8dacc2f6d03fdca81af2fe6b8638d2ee9ae30d7ed33a28268f7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_simulate_csv_bytes_are_pinned(tmp_path, name):
+    doc, flags = golden_runs()[name]
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    code = run_cli("simulate", "--config", cfg_path, *flags, "--out-dir", out)
+    files = [(out / f).read_bytes() for f in ("trajectory.csv", "metrics.csv")]
+    digests = [hashlib.sha256(data).hexdigest() for data in files]
+    assert (code, files[0].count(b"\n") - 1, *digests) == GOLDEN[name]
+
+
+@pytest.mark.parametrize(
+    "scenario, positions",
+    [
+        ("triangle-flip-k06.json", [[0.0, 0.0], [1e200, 0.0], [0.0, 1e200]]),
+        ("paper10-two-columns-k20.json", [[i * 1e160, 0.0] for i in range(10)]),
+    ],
+    ids=["triangle", "paper-10"],
+)
+def test_far_apart_start_reports_non_finite_errors_as_null(tmp_path, scenario, positions):
+    # Finite positions whose distances overflow: the final distance error is
+    # inf, which strict JSON cannot hold (this used to end in a traceback).
+    doc = shipped(scenario)
+    doc["initial"] = {"positions": positions}
+    cfg_path = tmp_path / "far.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--config", cfg_path, "--out-dir", out) == 3
+    manifest = strict_manifest(out)
+    assert (manifest["termination_reason"], manifest["steps"]) == ("diverged", 0)
+    assert manifest["final_max_dist_err"] is None
+    assert (out / "metrics.csv").read_text().splitlines()[1].split(",")[1] == "inf"
+
+
+def test_manifests_record_versions(tmp_path):
+    versions = {"triform": triform.__version__, "python": platform.python_version(), "numpy": np.__version__}
+    cfg_path = tmp_path / "tri.json"
+    save_scenario(triangle_config(), cfg_path)
+    assert run_cli("simulate", "--config", cfg_path, "--out-dir", tmp_path / "ok") == 0
+    assert run_cli("simulate", "--config", tmp_path / "missing.json", "--out-dir", tmp_path / "bad") == 64
+    assert run_cli("analyze", "--k", 20.0, "--out-dir", tmp_path / "rep") == 0
+    for out in ("ok", "bad", "rep"):
+        assert strict_manifest(tmp_path / out)["versions"] == versions
+
+
 def test_shipped_benchmark_scenario_runs(tmp_path):
     cfg = Path(__file__).resolve().parent.parent / "scenarios" / "paper10-two-columns-k20.json"
     out = tmp_path / "run"
@@ -583,6 +688,23 @@ def test_traced_array_simulate_counts_every_field_evaluation(tmp_path):
     (span,) = [sp for sp in tr.spans if sp.name == "dynamics.simulate"]
     assert span.attrs["reason"] == "converged" and span.attrs["steps"] > 0
     assert span.field_evals == 1 + 4 * span.attrs["steps"]
+
+
+def test_traced_simulate_computes_formation_errors_once_per_run(tmp_path):
+    # simulate hands all recorded samples to one formation_errors call, which
+    # the tracer must still see through triform.dynamics.formation_errors.
+    tracer = load_tracer()
+    tr = tracer.Tracer()
+    with tr.patched():
+        flip = SCENARIOS / "triangle-flip-k06.json"
+        assert run_cli("simulate", "--config", flip, "--out-dir", tmp_path / "run") == 0
+        assert run_cli("basin", "--k", 20.0, "--grid", "2x1", "--out-dir", tmp_path / "b") == 0
+    sims = [sp for sp in tr.spans if sp.name == "dynamics.simulate"]
+    errors = [sp for sp in tr.spans if sp.name == "graph.formation_errors"]
+    assert len(sims) == 3 and sims[0].attrs["samples"] > 1
+    assert sorted(sp.parent for sp in errors if sp.parent is not None) == [sp.sid for sp in sims]
+    assert len(errors) == 4  # plus the CLI's own call on the final state
+    assert all(hasattr(mod, attr) for mod, attr, _ in tracer.CALL_SITES)
 
 
 def test_traced_basin_records_its_layers(tmp_path):

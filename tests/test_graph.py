@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from triform import (
@@ -17,7 +18,9 @@ from triform import (
     validate_triangulated_laman,
 )
 
-from conftest import grow_henneberg, random_rigid_motion
+from triform.hierarchy import ARRAY_MIN_AGENTS
+
+from conftest import grow_henneberg, grown_formation, random_rigid_motion
 
 SQRT3 = math.sqrt(3.0)
 
@@ -200,3 +203,102 @@ def test_formation_errors_requires_all_positions():
     df = DesiredFormation(g, 2.0)
     with pytest.raises(ValueError):
         formation_errors(df, [Position(0, 0)] * 9)
+
+
+# The per-sample loop that formation_errors replaced, kept as the oracle for
+# its numpy form: the same expressions, maxima taken with ``e > worst``.
+def reference_formation_errors(df, positions):
+    if len(positions) != df.graph.n:
+        raise ValueError(f"expected {df.graph.n} positions, got {len(positions)}")
+    dist_err = 0.0
+    for u, v in df.graph.edges:
+        e = abs(distance(positions[u - 1], positions[v - 1]) - df.d_star)
+        if e > dist_err:
+            dist_err = e
+    area_err = 0.0
+    for ci, (i, j, k) in enumerate(df.graph.cliques):
+        e = abs(signed_area(positions[i - 1], positions[j - 1], positions[k - 1]) - df.z_star(ci))
+        if e > area_err:
+            area_err = e
+    return dist_err, area_err
+
+
+def as_positions(sample):
+    return [Position(float(x), float(y)) for x, y in sample]
+
+
+def float_bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def triangle_formation():
+    return DesiredFormation(FormationGraph(3, [(1, 2), (1, 3), (2, 3)], [(1, 2, 3)]), 2.0)
+
+
+@pytest.mark.parametrize("formation", ["paper-10", "grown"])
+def test_formation_errors_stack_matches_per_sample_loop(formation):
+    rng = random.Random(23)
+    if formation == "paper-10":
+        df = DesiredFormation(build_example_graph(), 2.0)
+        plan = build_hierarchy(df.graph, (1, 2))
+    else:
+        _, df, plan = grown_formation(rng, ARRAY_MIN_AGENTS + 7)
+    target = target_positions(plan, df)
+    # From the exact target out to far-off layouts; two leading sample axes.
+    stack = np.array(
+        [
+            [(q.x + rng.gauss(0.0, spread), q.y + rng.gauss(0.0, spread)) for q in target]
+            for spread in (0.0, 1e-9, 0.1, 3.0)
+            for _ in range(5)
+        ]
+    ).reshape(4, 5, df.graph.n, 2)
+    dist_err, area_err = formation_errors(df, stack)
+    assert dist_err.shape == area_err.shape == (4, 5)
+    expected = [reference_formation_errors(df, as_positions(s)) for s in stack.reshape(20, -1, 2)]
+    assert float_bits(dist_err.reshape(-1)) == float_bits([e[0] for e in expected])
+    assert float_bits(area_err.reshape(-1)) == float_bits([e[1] for e in expected])
+    assert area_err.max() > 1.0  # the far-off samples really move the maxima
+
+
+def test_formation_errors_of_one_formation_are_python_floats(rng):
+    df = DesiredFormation(build_example_graph(), 2.0)
+    sample = np.array([(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(10)])
+    expected = reference_formation_errors(df, as_positions(sample))
+    for positions in (sample, as_positions(sample)):
+        errs = formation_errors(df, positions)
+        assert [type(e) for e in errs] == [float, float]
+        assert float_bits(errs) == float_bits(expected)
+
+
+def test_formation_errors_skip_nan_like_the_loop():
+    # Both far agents sit on one point: the edges between the far points and
+    # the origin overflow to inf, the signed area is inf - inf = NaN.  The
+    # loop's ``e > worst`` never takes the NaN, so the area error stays 0.0.
+    df = triangle_formation()
+    far = [(0.0, 0.0), (1e200, 1e200), (1e200, 1e200)]
+    assert reference_formation_errors(df, as_positions(far)) == (math.inf, 0.0)
+    assert formation_errors(df, as_positions(far)) == (math.inf, 0.0)
+    tame = [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    dist_err, area_err = formation_errors(df, np.array([far, tame]))
+    expected = [reference_formation_errors(df, as_positions(s)) for s in (far, tame)]
+    assert float_bits(dist_err) == float_bits([e[0] for e in expected])
+    assert float_bits(area_err) == float_bits([e[1] for e in expected])
+    assert area_err[0] == 0.0
+
+
+def test_formation_errors_without_cliques_report_zero_area_error():
+    path = DesiredFormation(FormationGraph(3, [(1, 2), (2, 3)]), 2.0)
+    stack = np.array([[(0.0, 0.0), (3.0, 0.0), (3.0, 5.0)], [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0)]])
+    dist_err, area_err = formation_errors(path, stack)
+    assert float_bits(dist_err) == float_bits([3.0, 0.0])
+    assert float_bits(area_err) == float_bits([0.0, 0.0])
+    assert formation_errors(path, as_positions(stack[0])) == (3.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "shape", [(9, 2), (11, 2), (4, 9, 2), (10, 3), (20,)], ids=lambda s: "x".join(map(str, s))
+)
+def test_formation_errors_reject_a_wrong_agent_count(shape):
+    df = DesiredFormation(build_example_graph(), 2.0)
+    with pytest.raises(ValueError, match="expected 10 positions"):
+        formation_errors(df, np.zeros(shape))
