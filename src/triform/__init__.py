@@ -20,12 +20,10 @@ from .analysis import (
 )
 from .dynamics import (
     BasinCell,
-    BasinResult,
     GridSpec,
     IntegratorConfig,
     SimulationResult,
     Trajectory,
-    basin_probe,
     simulate,
 )
 from .geometry import PlanarVector, Position, distance, signed_area, squared_distance

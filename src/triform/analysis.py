@@ -290,8 +290,3 @@ def match_equilibrium(
             best, best_d = eq, d
     return best
 
-
-def residual_norm(a: float, k_gain: float, point: Position) -> float:
-    """Norm of the pinned closed-loop field at one point (scalar convenience)."""
-    fx, fy = pinned_field(a, k_gain, np.array([point.x]), np.array([point.y]))
-    return float(np.hypot(fx, fy)[0])

@@ -62,6 +62,7 @@ EXIT_CONFIG = 64
 
 _REASON_EXIT = {CONVERGED: EXIT_OK, TIMEOUT: EXIT_TIMEOUT, DIVERGED: EXIT_DIVERGED}
 _MAX_GAINS = 10_000  # --k-range enumerates at most this many gains
+_MAX_CELLS = 1_000_000  # --grid holds at most this many cells
 _VERSIONS = {"triform": __version__, "python": platform.python_version(), "numpy": np.__version__}
 
 
@@ -109,7 +110,7 @@ def _write_manifest(out_dir: Path, command: str, started: float, **payload: Any)
     """Write manifest.json: the command, its fields, versions and the wall time, as strict JSON."""
     payload.update(command=command, versions=_VERSIONS, wall_time_s=time.perf_counter() - started)
     out_dir.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(payload, sort_keys=True, allow_nan=False)
     (out_dir / "manifest.json").write_text(text + "\n")
 
 
@@ -287,6 +288,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def _basin_setup(args: argparse.Namespace, gains: list[float]):
     """Check every basin input; return the pinned triangle, grid, integrator and catalogues."""
     nx, ny = _parse_grid(args.grid)
+    if nx * ny > _MAX_CELLS:
+        raise ConfigError("--grid", f"more than {_MAX_CELLS} cells in {args.grid!r}")
     grid = GridSpec(nx=nx, ny=ny, xmin=args.xmin, xmax=args.xmax, ymin=args.ymin, ymax=args.ymax)
     cfg = IntegratorConfig(dt=args.dt, t_max=args.t_max)
     if args.jobs < 1:
@@ -302,7 +305,7 @@ def _run_basin(
     """Probe every grid cell; return the cells and the correct fraction (None when empty)."""
     points = grid.points()
     jobs = min(jobs, os.cpu_count() or 1, len(points))
-    worker = partial(probe_points, scenario.plan, scenario.formation, cfg, k_gain, 1.0, equilibria)
+    worker = partial(probe_points, scenario.plan, scenario.formation, cfg, k_gain, equilibria)
     if jobs <= 1:
         cells = worker(points)
     else:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import FAMILY_APEX, enumerate_triangle_equilibria, match_equilibrium
+from .analysis import FAMILY_APEX, match_equilibrium
 from .geometry import Position
 from .graph import DesiredFormation, formation_errors
 from .hierarchy import HierarchyPlan, compile_field, uses_array_kernel
@@ -292,31 +292,23 @@ class BasinCell:
     matched_family: str | None
 
 
-@dataclass
-class BasinResult:
-    cells: list[BasinCell]
-    fraction_correct: float
-    k_gain: float
-    half_distance: float
-
-
 def probe_points(
     plan: HierarchyPlan,
     df: DesiredFormation,
     cfg: IntegratorConfig,
     k_gain: float,
-    kappa: float,
     equilibria: Sequence,
     points: Sequence[tuple[int, int, float, float]],
-    match_tol: float = 1e-4,
 ) -> list[BasinCell]:
     """Run one pinned-triangle probe per point and label the terminal state.
 
-    Each terminal point is matched against ``equilibria``: "correct" for the
-    target apex, "incorrect" for any other equilibrium, "unresolved" when
-    nothing matches within ``match_tol`` or the run did not converge.  A
-    failure in one cell never aborts the sweep.  Distinct points are
-    independent, so callers may split them across worker processes.
+    Agents 1 and 2 start on the pins (-a, 0) and (a, 0) with a = d_star/2 and
+    never move; agent 3 starts at the point.  Each terminal point is matched
+    against ``equilibria``: "correct" for the target apex, "incorrect" for
+    any other equilibrium, "unresolved" when nothing matches within 1e-4 or
+    the run did not converge.  A failure in one cell never aborts the sweep.
+    Distinct points are independent, so callers may split them across worker
+    processes.
     """
     if plan.graph.n != 3:
         raise ValueError(f"basin probe needs the pinned 3-agent scenario, got n={plan.graph.n}")
@@ -324,12 +316,12 @@ def probe_points(
     pins = [Position(-a, 0.0), Position(a, 0.0)]
     cells: list[BasinCell] = []
     for ix, iy, x0, y0 in points:
-        result = simulate(plan, df, [*pins, Position(x0, y0)], cfg, k_gain=k_gain, kappa=kappa)
+        result = simulate(plan, df, [*pins, Position(x0, y0)], cfg, k_gain=k_gain)
         fx, fy = (float(v) for v in result.trajectory.states[-1][2])
         label = LABEL_UNRESOLVED
         family = None
         if result.converged:
-            best = match_equilibrium(equilibria, Position(fx, fy), match_tol)
+            best = match_equilibrium(equilibria, Position(fx, fy))
             if best is not None:
                 family = best.family
                 label = LABEL_CORRECT if family == FAMILY_APEX else LABEL_INCORRECT
@@ -348,26 +340,3 @@ def probe_points(
         )
     return cells
 
-
-def basin_probe(
-    plan: HierarchyPlan,
-    df: DesiredFormation,
-    grid: GridSpec,
-    cfg: IntegratorConfig,
-    *,
-    k_gain: float,
-    kappa: float = 1.0,
-    match_tol: float = 1e-4,
-) -> BasinResult:
-    """Classify where the free agent of a pinned triangle ends up per grid cell.
-
-    Agents 1 and 2 start on the pins (-a, 0) and (a, 0) with a = d_star/2 and
-    never move; agent 3 starts at the cell point.  Labels are assigned against
-    the closed-form equilibrium catalogue for (a, k_gain).
-    """
-    a = 0.5 * df.d_star
-    equilibria = enumerate_triangle_equilibria(a, k_gain)
-    cells = probe_points(plan, df, cfg, k_gain, kappa, equilibria, grid.points(), match_tol)
-    correct = sum(1 for c in cells if c.label == LABEL_CORRECT)
-    fraction = correct / len(cells) if cells else float("nan")
-    return BasinResult(cells=cells, fraction_correct=fraction, k_gain=k_gain, half_distance=a)

@@ -22,6 +22,7 @@ from .graph import DesiredFormation, FormationGraph, growth_order, validate_tria
 from .potentials import (
     PairPotentialSpec,
     TrianglePotentialSpec,
+    _corner_gradient,
     pair_gradient,
     pair_potential,
     triangle_gradient,
@@ -318,6 +319,8 @@ def compile_field(
     kap = kappa
     kg = k_gain
 
+    # The triangle term inlines potentials._corner_gradient: calling it per
+    # triangle measured 13-14% slower.
     def field(p: list[float], out: list[float]) -> None:
         for m in range(size):
             out[m] = 0.0
@@ -361,8 +364,9 @@ def _array_field(
     """The field of :func:`compile_field` over float64 arrays.
 
     Each evaluation gathers the triangle agents' coordinates through one
-    index array built here and evaluates the scalar closure's expressions, in
-    the same order, on whole columns, so every entry matches it bit for bit.
+    index array built here and hands the columns to
+    :func:`~triform.potentials._corner_gradient`, whose expressions the scalar
+    closure inlines in the same order, so every entry matches it bit for bit.
     ``-(kap * g)`` is computed as ``(-kap) * g``, which rounds identically.
     The plan's single pair agent keeps the scalar loop.
     """
@@ -383,17 +387,8 @@ def _array_field(
             out[m] = -(kap * (err * ex))
             out[m + 1] = -(kap * (err * ey))
         mx, my, fx, fy, sx, sy = p.take(gather)
-        e1x = mx - fx
-        e1y = my - fy
-        e2x = mx - sx
-        e2y = my - sy
-        c1 = (e1x * e1x + e1y * e1y) - d2
-        c2 = (e2x * e2x + e2y * e2y) - d2
-        bx = sx - fx
-        by = sy - fy
-        z = 0.5 * (bx * e1y - e1x * by)
-        area = kg * (z - z_star)
-        out[tm] = neg_kap * (c1 * e1x + c2 * e2x + area * (-0.5 * by))
-        out[tm1] = neg_kap * (c1 * e1y + c2 * e2y + area * (0.5 * bx))
+        gx, gy = _corner_gradient(d2, kg, z_star, fx, fy, sx, sy, mx, my)
+        out[tm] = neg_kap * gx
+        out[tm1] = neg_kap * gy
 
     return field

@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.
 """
 
+import csv
+import json
 import math
 import random
 import time
@@ -13,13 +15,11 @@ import numpy as np
 from triform import (
     DesiredFormation,
     FormationGraph,
-    GridSpec,
     IntegratorConfig,
     K_LOW,
     PairPotentialSpec,
     Position,
     TrianglePotentialSpec,
-    basin_probe,
     build_example_graph,
     build_hierarchy,
     classify_gain,
@@ -36,6 +36,7 @@ from triform import (
     triangle_gradient,
     triangle_potential,
 )
+from triform.cli import main
 from triform.scenario import random_layout, two_columns_layout
 
 from conftest import fd_gradient, random_rigid_motion
@@ -162,27 +163,35 @@ def test_criterion_3_hessian_and_h_checkpoints():
     print("\nPASS criterion 3: apex Hessian eigenvalues (4, 32) and h checkpoints verified")
 
 
-def test_criterion_4_basin_grids_match_the_two_figures():
+def test_criterion_4_basin_grids_match_the_two_figures(tmp_path):
     started = time.perf_counter()
-    df, plan = triangle_setup(2.0)
-    grid = GridSpec(9, 9, -3.0, 3.0, -3.0, 3.0)
-    cfg = IntegratorConfig(record_stride=2000)
 
-    high = basin_probe(plan, df, grid, cfg, k_gain=20.0)
-    assert high.fraction_correct == 1.0
+    def basin(k_gain):
+        """9x9 basin map of the pinned triangle (d_star 2) over [-3, 3]^2: (fraction, cells)."""
+        out = tmp_path / f"k{k_gain}"
+        window = ["--xmin=-3", "--xmax", "3", "--ymin=-3", "--ymax", "3"]
+        argv = ["basin", "--k", repr(k_gain), "--d-star", "2", "--grid", "9x9", *window]
+        assert main([*argv, "--out-dir", str(out)]) == 0
+        with (out / "basin.csv").open(newline="") as f:
+            cells = list(csv.DictReader(f))
+        assert len(cells) == 81
+        return json.loads((out / "manifest.json").read_text())["fraction_correct"], cells
 
-    low = basin_probe(plan, df, grid, cfg, k_gain=0.6)
-    assert low.fraction_correct < 1.0
-    wrong = [c for c in low.cells if c.label == "incorrect"]
+    high, _ = basin(20.0)
+    assert high == 1.0
+
+    low, cells = basin(0.6)
+    assert low < 1.0
+    wrong = [c for c in cells if c["label"] == "incorrect"]
     assert wrong
     y_flip = (-math.sqrt(0.75 - 0.3) - 0.5 * SQRT3) * 1.0
-    worst = max(math.hypot(c.x_final - 0.0, c.y_final - y_flip) for c in wrong)
+    worst = max(math.hypot(float(c["x_final"]), float(c["y_final"]) - y_flip) for c in wrong)
     assert worst <= 1e-4
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     print(
         f"\nPASS criterion 4: 9x9 basins give fraction 1.0 at K=20 and "
-        f"{low.fraction_correct:.3f} at K=0.6 ({len(wrong)} flip cells within "
+        f"{low:.3f} at K=0.6 ({len(wrong)} flip cells within "
         f"{worst:.1e} of the mirror point), {elapsed:.1f}s"
     )
 

@@ -33,7 +33,7 @@ from triform.analysis import (
     STABLE,
     UNSTABLE,
     match_equilibrium,
-    residual_norm,
+    pinned_field,
     symmetric_eigenvalues,
 )
 
@@ -138,7 +138,7 @@ def test_every_catalogue_entry_zeros_the_field(rng):
         a = rng.uniform(0.5, 2.0)
         k = rng.uniform(0.05, 4.5)
         for eq in enumerate_triangle_equilibria(a, k):
-            assert residual_norm(a, k, eq.position) <= 1e-12 * max(1.0, a**3)
+            assert np.hypot(*pinned_field(a, k, eq.position.x, eq.position.y)) <= 1e-12 * max(1.0, a**3)
 
 
 def test_merged_double_root_at_the_upper_boundary():
@@ -253,7 +253,7 @@ def test_oracle_finds_all_five_roots_at_low_gain():
 def test_oracle_residuals_are_tiny():
     for k in (0.6, 1.2, 3.0):
         for p in find_equilibria_numeric(1.0, k):
-            assert residual_norm(1.0, k, p) < 1e-10
+            assert np.hypot(*pinned_field(1.0, k, p.x, p.y)) < 1e-10
 
 
 def test_oracle_agrees_with_closed_form_for_random_gains():

@@ -338,8 +338,24 @@ def golden_runs():
     nan_state = triangle_config(
         kappa=1e100, initial=InitialSpec(positions=start), integrator=IntegratorConfig(record_stride=1)
     )
+    # a grown formation large enough for the numpy field kernel and array state
+    rng = random.Random(7)
+    graph, df, plan = grown_formation(rng, 64)
+    jittered = tuple(
+        (q.x + rng.uniform(-0.1, 0.1), q.y + rng.uniform(-0.1, 0.1)) for q in target_positions(plan, df)
+    )
+    grown = ScenarioConfig(
+        graph=graph,
+        root_edge=(1, 2),
+        d_star=2.0,
+        k_gain=20.0,
+        initial=InitialSpec(positions=jittered),
+        integrator=IntegratorConfig(record_stride=10),
+        z_star_signs=df.z_star_signs,
+    )
     return {
         "paper10-dense": (paper10, ["--t-max", 2]),
+        "grown-64": (config_to_dict(grown), ["--t-max", 2]),
         "flip": (shipped("triangle-flip-k06.json"), []),
         "blown-up": (config_to_dict(blown_up), []),
         "nan-state": (config_to_dict(nan_state), []),
@@ -354,6 +370,12 @@ GOLDEN = {
         2001,
         "7fae274e702b51b84cd1addaa4b4c82b166493d2e665824c1247fa7ad22cb26d",
         "2c72e51eb5eeb5323a5255c4e480d84696211bf5ce362729720abe29f99b18e4",
+    ),
+    "grown-64": (
+        2,
+        201,
+        "eb92c1beb1959c8582b75014f6b9a310821f261616b6a247684a1300f6d8540b",
+        "766c2e6d54aebc8fc098281968204d9fecb6ce0979d3b8ad2c35f4bc098dc933",
     ),
     "flip": (
         0,
@@ -379,6 +401,8 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_simulate_csv_bytes_are_pinned(tmp_path, name):
     doc, flags = golden_runs()[name]
+    if name == "grown-64":
+        assert triform.hierarchy.uses_array_kernel(doc["graph"]["n"])
     cfg_path = tmp_path / "scenario.json"
     cfg_path.write_text(json.dumps(doc))
     out = tmp_path / "run"
@@ -513,6 +537,21 @@ def test_basin_high_gain_small_grid(tmp_path):
     assert all("correct" in line for line in lines[1:])
 
 
+# gain -> sha256 of basin.csv from `basin --grid 3x3` over the default window;
+# these bytes must not move.
+BASIN_GOLDEN = {
+    0.6: "4b032c891ce9f6979c8122e07ec00eff3c3ae433c4a917d0d81353b1cb5c6f45",
+    20.0: "9d2dc709ddb078e42b6e64814190bfe1b309359c45e76078d047b205c444f3a7",
+}
+
+
+@pytest.mark.parametrize("k", sorted(BASIN_GOLDEN))
+def test_basin_csv_bytes_are_pinned(tmp_path, k):
+    out = tmp_path / "basin"
+    assert run_cli("basin", "--k", k, "--grid", "3x3", "--out-dir", out) == 0
+    assert hashlib.sha256((out / "basin.csv").read_bytes()).hexdigest() == BASIN_GOLDEN[k]
+
+
 def test_basin_parallel_output_matches_serial(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli("basin", "--k", "0.6", "--grid", "3x3", "--jobs", 1, "--out-dir", a) == 0
@@ -578,6 +617,8 @@ def test_basin_jobs_capped_by_cpus_and_cells(tmp_path, monkeypatch, jobs, grid, 
         (["sweep-gain", "--k-range", "1:1:1", "--xmax", "inf"], "grid bounds"),
         (["basin", "--k", 1.0, "--grid", "-1x2"], "--grid"),
         (["basin"], "--k"),
+        (["basin", "--k", 20.0, "--grid", "100000x100000"], "--grid"),
+        (["sweep-gain", "--k-range", "1:1:1", "--grid", "1001x1000"], "--grid"),
     ],
     ids=[
         "sweep-negative-d-star",
@@ -597,11 +638,13 @@ def test_basin_jobs_capped_by_cpus_and_cells(tmp_path, monkeypatch, jobs, grid, 
         "sweep-infinite-bound",
         "basin-grid-read-as-option",
         "basin-missing-gain",
+        "basin-too-many-cells",
+        "sweep-too-many-cells",
     ],
 )
 def test_rejected_inputs_write_a_config_error_manifest(tmp_path, argv, field):
     out = tmp_path / "run"
-    grid = ["--grid", "1x1"] if argv[0] in ("basin", "sweep-gain") else []
+    grid = ["--grid", "1x1"] if argv[0] in ("basin", "sweep-gain") and "--grid" not in argv else []
     assert run_cli(*argv, *grid, "--out-dir", out) == 64
     manifest = strict_manifest(out)
     assert manifest["command"] == argv[0]

@@ -11,7 +11,6 @@ from triform import (
     GridSpec,
     IntegratorConfig,
     Position,
-    basin_probe,
     build_example_graph,
     build_hierarchy,
     enumerate_triangle_equilibria,
@@ -19,9 +18,10 @@ from triform import (
     total_potential,
 )
 from triform import hierarchy
-from triform.dynamics import CONVERGED, DIVERGED, TIMEOUT
+from triform.cli import _run_basin
+from triform.dynamics import CONVERGED, DIVERGED, TIMEOUT, probe_points
 from triform.hierarchy import target_positions
-from triform.scenario import two_columns_layout
+from triform.scenario import make_builtin_scenario, resolve, two_columns_layout
 
 from conftest import grown_formation
 
@@ -265,20 +265,22 @@ def test_simulate_rejects_wrong_agent_count():
 # Basin probe
 # ---------------------------------------------------------------------------
 
+def run_basin(grid, k_gain, cfg=IntegratorConfig()):
+    """Cells and correct fraction of the pinned-triangle basin map (d_star 2) over ``grid``."""
+    scenario = resolve(make_builtin_scenario("triangle", k_gain=1.0, d_star=2.0))
+    return _run_basin(scenario, k_gain, enumerate_triangle_equilibria(1.0, k_gain), grid, cfg, 1)
+
+
 def test_basin_high_gain_all_correct():
-    df, plan = triangle_setup()
-    grid = GridSpec(5, 5, -3.0, 3.0, -3.0, 3.0)
-    out = basin_probe(plan, df, grid, IntegratorConfig(), k_gain=20.0)
-    assert out.fraction_correct == 1.0
-    assert all(c.label == "correct" for c in out.cells)
+    cells, fraction = run_basin(GridSpec(5, 5, -3.0, 3.0, -3.0, 3.0), 20.0)
+    assert fraction == 1.0
+    assert all(c.label == "correct" for c in cells)
 
 
 def test_basin_low_gain_has_incorrect_cells_at_the_flip_point():
-    df, plan = triangle_setup()
-    grid = GridSpec(5, 5, -3.0, 3.0, -3.0, 3.0)
-    out = basin_probe(plan, df, grid, IntegratorConfig(), k_gain=0.6)
-    wrong = [c for c in out.cells if c.label == "incorrect"]
-    assert out.fraction_correct < 1.0
+    cells, fraction = run_basin(GridSpec(5, 5, -3.0, 3.0, -3.0, 3.0), 0.6)
+    wrong = [c for c in cells if c.label == "incorrect"]
+    assert fraction < 1.0
     assert wrong
     y_flip = -math.sqrt(0.75 - 0.3) - 0.5 * SQRT3
     for c in wrong:
@@ -287,33 +289,27 @@ def test_basin_low_gain_has_incorrect_cells_at_the_flip_point():
 
 
 def test_basin_cell_exactly_on_the_target_apex_is_correct():
-    df, plan = triangle_setup()
-    grid = GridSpec(1, 1, 0.0, 0.0, SQRT3, SQRT3)
-    out = basin_probe(plan, df, grid, IntegratorConfig(), k_gain=0.6)
-    assert out.cells[0].label == "correct"
+    cells, _ = run_basin(GridSpec(1, 1, 0.0, 0.0, SQRT3, SQRT3), 0.6)
+    assert cells[0].label == "correct"
 
 
 def test_basin_zero_cells():
-    df, plan = triangle_setup()
-    out = basin_probe(plan, df, GridSpec(0, 0, -1.0, 1.0, -1.0, 1.0), IntegratorConfig(), k_gain=2.0)
-    assert out.cells == []
-    assert math.isnan(out.fraction_correct)
+    assert run_basin(GridSpec(0, 0, -1.0, 1.0, -1.0, 1.0), 2.0) == ([], None)
 
 
 def test_basin_unresolved_on_timeout():
-    df, plan = triangle_setup()
     cfg = IntegratorConfig(t_max=0.01, grad_norm_tol=1e-13)
-    grid = GridSpec(2, 1, -2.0, 2.0, 2.0, 2.0)
-    out = basin_probe(plan, df, grid, cfg, k_gain=20.0)
-    assert all(c.label == "unresolved" and c.reason == TIMEOUT for c in out.cells)
+    cells, _ = run_basin(GridSpec(2, 1, -2.0, 2.0, 2.0, 2.0), 20.0, cfg)
+    assert all(c.label == "unresolved" and c.reason == TIMEOUT for c in cells)
 
 
 def test_basin_requires_three_agents():
     g = build_example_graph()
     df = DesiredFormation(g, 2.0)
     plan = build_hierarchy(g, (1, 2))
+    eqs = enumerate_triangle_equilibria(1.0, 20.0)
     with pytest.raises(ValueError):
-        basin_probe(plan, df, GridSpec(2, 2, -1, 1, -1, 1), IntegratorConfig(), k_gain=20.0)
+        probe_points(plan, df, IntegratorConfig(), 20.0, eqs, GridSpec(2, 2, -1, 1, -1, 1).points())
 
 
 def test_grid_points_order_and_midpoint():
