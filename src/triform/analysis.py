@@ -20,6 +20,7 @@ of the closed-form catalogue.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,9 @@ REGIME_BISTABLE = "bistable"
 K_LOW = 2.0 * SQRT3 - 2.0
 K_HIGH = 1.5
 
+# A terminal point within this distance of a catalogue entry matches it.
+MATCH_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class Equilibrium:
@@ -74,7 +78,6 @@ class Equilibrium:
 class GainRegime:
     k_gain: float
     regime: str
-    boundaries: tuple[float, float] = (K_LOW, K_HIGH)
     at_boundary: bool = False
 
 
@@ -90,10 +93,16 @@ def _classify(eigenvalues: tuple[float, ...], tol: float) -> str:
 
 
 def symmetric_eigenvalues(h: np.ndarray) -> tuple[float, float]:
-    """Eigenvalues of a symmetric 2x2 matrix, ascending."""
+    """Eigenvalues of a symmetric 2x2 matrix, ascending.
+
+    The smaller-magnitude eigenvalue is det / larger: ``mean - disc`` would
+    cancel to zero when one eigenvalue dwarfs the other.
+    """
     mean = 0.5 * float(h[0, 0] + h[1, 1])
     disc = math.hypot(0.5 * float(h[0, 0] - h[1, 1]), float(h[0, 1]))
-    return (mean - disc, mean + disc)
+    larger = mean + disc if mean >= 0.0 else mean - disc
+    smaller = float(h[0, 0] * h[1, 1] - h[0, 1] * h[0, 1]) / larger if larger else 0.0
+    return (smaller, larger) if mean >= 0.0 else (larger, smaller)
 
 
 def enumerate_pair_equilibria(d_star: float) -> list[Equilibrium]:
@@ -133,11 +142,15 @@ def enumerate_triangle_equilibria(a: float, k_gain: float) -> list[Equilibrium]:
     if not (math.isfinite(k_gain) and k_gain > 0):
         raise ValueError(f"k_gain must be finite and positive, got {k_gain}")
     a2 = a * a
+    if not sys.float_info.min <= a2 < math.inf:
+        raise ValueError(f"a={a} gives a*a={a2}, which is not a normal float")
     tol = 1e-9 * a2
     spec = TrianglePotentialSpec(d_star=2.0 * a, z_star=SQRT3 * a2, k_gain=k_gain)
 
     def make(x: float, y: float, family: str, note: str = "") -> Equilibrium:
         eig = symmetric_eigenvalues(pinned_triangle_hessian(spec, Position(x, y)))
+        if not all(map(math.isfinite, eig)):
+            raise ValueError(f"Hessian eigenvalues {eig} at a={a}, k_gain={k_gain} are not finite")
         return Equilibrium(
             position=Position(x, y),
             family=family,
@@ -196,22 +209,13 @@ def pinned_field(a: float, k_gain: float, x: np.ndarray, y: np.ndarray) -> tuple
     return -gx, -gy
 
 
-def find_equilibria_numeric(
-    a: float,
-    k_gain: float,
-    seeds: np.ndarray | None = None,
-    *,
-    grid_points: int = 41,
-    max_iter: int = 200,
-    residual_tol: float = 1e-10,
-    dedup_tol: float = 1e-8,
-) -> list[Position]:
+def find_equilibria_numeric(a: float, k_gain: float) -> list[Position]:
     """Roots of the pinned closed-loop field, found numerically.
 
-    Damped Newton (fixed step damping 1/2) runs from every seed of a uniform
-    grid spanning [-4a, 4a]^2 by default.  Seeds that escape, hit a singular
-    Jacobian, or end with a residual above ``residual_tol`` are dropped; the
-    survivors are de-duplicated at ``dedup_tol`` and returned sorted by
+    Damped Newton (fixed step damping 1/2, 200 iterations) runs from every
+    seed of a uniform 41x41 grid spanning [-4a, 4a]^2.  Seeds that escape,
+    hit a singular Jacobian, or end with a residual of 1e-10 or more are
+    dropped; the survivors are de-duplicated at 1e-8 and returned sorted by
     (y, x).  This is the independent check of the closed-form catalogue, so
     it never consults it.
     """
@@ -219,16 +223,12 @@ def find_equilibria_numeric(
         raise ValueError(f"a must be finite and positive, got {a}")
     if not (math.isfinite(k_gain) and k_gain > 0):
         raise ValueError(f"k_gain must be finite and positive, got {k_gain}")
-    if seeds is None:
-        axis = np.linspace(-4.0 * a, 4.0 * a, grid_points)
-        gx, gy = np.meshgrid(axis, axis)
-        seeds = np.column_stack([gx.ravel(), gy.ravel()])
-    x = np.array(seeds[:, 0], dtype=float)
-    y = np.array(seeds[:, 1], dtype=float)
+    axis = np.linspace(-4.0 * a, 4.0 * a, 41)
+    x, y = (g.ravel() for g in np.meshgrid(axis, axis))
     a2 = a * a
     alive = np.ones(len(x), dtype=bool)
 
-    for _ in range(max_iter):
+    for _ in range(200):
         if not alive.any():
             break
         fx, fy = pinned_field(a, k_gain, x, y)
@@ -249,11 +249,11 @@ def find_equilibria_numeric(
 
     fx, fy = pinned_field(a, k_gain, x, y)
     residual = np.hypot(fx, fy)
-    keep = np.isfinite(residual) & (residual < residual_tol) & (np.hypot(x, y) <= 100.0 * a)
+    keep = np.isfinite(residual) & (residual < 1e-10) & (np.hypot(x, y) <= 100.0 * a)
 
     roots: list[tuple[float, float]] = []
     for rx, ry in sorted(zip(x[keep], y[keep]), key=lambda q: (q[1], q[0])):
-        if all(math.hypot(rx - ox, ry - oy) > dedup_tol for ox, oy in roots):
+        if all(math.hypot(rx - ox, ry - oy) > 1e-8 for ox, oy in roots):
             roots.append((float(rx) + 0.0, float(ry) + 0.0))
     return [Position(rx, ry) for rx, ry in roots]
 
@@ -278,12 +278,10 @@ def align_to_pinned_frame(pi: Position, pj: Position, pk: Position) -> tuple[flo
     return a, Position(cos_t * rx + sin_t * ry, -sin_t * rx + cos_t * ry)
 
 
-def match_equilibrium(
-    equilibria: list[Equilibrium], point: Position, tol: float = 1e-4
-) -> Equilibrium | None:
-    """Nearest catalogue entry within ``tol`` of ``point``, or None."""
+def match_equilibrium(equilibria: list[Equilibrium], point: Position) -> Equilibrium | None:
+    """Nearest catalogue entry within ``MATCH_TOL`` of ``point``, or None."""
     best = None
-    best_d = tol
+    best_d = MATCH_TOL
     for eq in equilibria:
         d = math.hypot(point.x - eq.position.x, point.y - eq.position.y)
         if d <= best_d:

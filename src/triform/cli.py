@@ -179,12 +179,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         kappa=scenario.config.kappa,
     )
     traj = result.trajectory
-    n = scenario.graph.n
+    n = scenario.plan.graph.n
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_trajectory(out_dir, traj)
 
-    final = traj.final_positions()
+    final = result.final_positions()
     dist_err, area_err = formation_errors(scenario.formation, final)
     manifest: dict[str, Any] = {
         "config": config_to_dict(scenario.config),
@@ -207,10 +207,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _terminal_equilibrium(scenario, final: list[Position]) -> dict[str, Any]:
     """Label a converged 3-agent run against the pinned equilibrium catalogue."""
     d = scenario.formation.d_star
-    a, pk = align_to_pinned_frame(final[0], final[1], final[2])
-    if abs(2.0 * a - d) > 1e-6 * d:
+    # Checked before aligning: coincident base agents have no canonical frame.
+    if abs(math.dist(final[0].as_tuple(), final[1].as_tuple()) - d) > 1e-6 * d:
         return {"matched": None, "detail": "base agents did not settle at d_star"}
-    eqs = enumerate_triangle_equilibria(0.5 * d, scenario.config.k_gain)
+    _, pk = align_to_pinned_frame(final[0], final[1], final[2])
+    try:
+        eqs = enumerate_triangle_equilibria(0.5 * d, scenario.config.k_gain)
+    except ValueError as exc:  # d_star beyond the catalogue's float range
+        return {"matched": None, "detail": str(exc)}
     match = match_equilibrium(eqs, pk)
     if match is None:
         return {"matched": None, "detail": "no equilibrium within 1e-4"}

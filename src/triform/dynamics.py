@@ -76,9 +76,6 @@ class Trajectory:
     states: np.ndarray
     metrics: np.ndarray
 
-    def final_positions(self) -> list[Position]:
-        return [Position(float(x), float(y)) for x, y in self.states[-1]]
-
 
 @dataclass
 class SimulationResult:
@@ -86,14 +83,18 @@ class SimulationResult:
     reason: str
     t_final: float
     steps: int
-    diverged_at: float | None = None
 
     @property
     def converged(self) -> bool:
         return self.reason == CONVERGED
 
+    @property
+    def diverged_at(self) -> float | None:
+        """Time of the divergence, None unless the run diverged."""
+        return self.t_final if self.reason == DIVERGED else None
+
     def final_positions(self) -> list[Position]:
-        return self.trajectory.final_positions()
+        return [Position(float(x), float(y)) for x, y in self.trajectory.states[-1]]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is caught as divergence
@@ -162,7 +163,6 @@ def simulate(
         last_recorded = step
 
     reason = TIMEOUT
-    diverged_at: float | None = None
     step = 0
     worst = 0.0
     while True:
@@ -179,7 +179,6 @@ def simulate(
             record(step, gmax2)
         if not math.isfinite(gmax2):  # NaN or overflowing field
             reason = DIVERGED
-            diverged_at = step * dt
             break
         if gmax2 < tol2:
             reason = CONVERGED
@@ -221,7 +220,6 @@ def simulate(
         step += 1
         if not worst <= bound:  # NaN too
             reason = DIVERGED
-            diverged_at = step * dt
             break
 
     # After a divergence the state may no longer be finite (worst is then inf
@@ -236,13 +234,7 @@ def simulate(
         states=states,
         metrics=np.column_stack((dist_err, area_err, np.frombuffer(u_norms))),
     )
-    return SimulationResult(
-        trajectory=trajectory,
-        reason=reason,
-        t_final=step * dt,
-        steps=step,
-        diverged_at=diverged_at,
-    )
+    return SimulationResult(trajectory=trajectory, reason=reason, t_final=step * dt, steps=step)
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,6 @@ class HierarchyPlan:
     """All agents' assignments plus a dependency-consistent processing order."""
 
     graph: FormationGraph
-    root_edge: tuple[int, int]
     assignments: tuple[PotentialAssignment, ...]
     processing_order: tuple[int, ...]
 
@@ -106,7 +105,7 @@ def build_hierarchy(graph: FormationGraph, root_edge: tuple[int, int]) -> Hierar
         raise HierarchyError(f"root edge ({root}, {anchor_target}) is not in the graph")
 
     adj = graph.adjacency()
-    hops = _hop_distances(adj, root, graph.n)
+    hops = _hop_distances(adj, root)
 
     layer_of = {root: 1, anchor_target: 2}
     assignments: dict[int, PotentialAssignment] = {
@@ -143,13 +142,12 @@ def build_hierarchy(graph: FormationGraph, root_edge: tuple[int, int]) -> Hierar
 
     return HierarchyPlan(
         graph=graph,
-        root_edge=(root, anchor_target),
         assignments=tuple(assignments[a] for a in range(1, graph.n + 1)),
         processing_order=tuple(order),
     )
 
 
-def _hop_distances(adj: dict[int, set[int]], source: int, n: int) -> dict[int, int]:
+def _hop_distances(adj: dict[int, set[int]], source: int) -> dict[int, int]:
     dist = {source: 0}
     queue = deque([source])
     while queue:
@@ -158,9 +156,6 @@ def _hop_distances(adj: dict[int, set[int]], source: int, n: int) -> dict[int, i
             if v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)
-    if len(dist) < n:
-        missing = min(v for v in range(1, n + 1) if v not in dist)
-        raise HierarchyError(f"agent {missing} is not connected to the root agent {source}")
     return dist
 
 

@@ -116,7 +116,6 @@ def random_layout(n: int, seed: int, box: tuple[float, float, float, float]) -> 
 @dataclass(frozen=True)
 class ResolvedScenario:
     config: ScenarioConfig
-    graph: FormationGraph
     formation: DesiredFormation
     plan: HierarchyPlan
     initial_positions: list[Position]
@@ -141,7 +140,6 @@ def resolve(config: ScenarioConfig) -> ResolvedScenario:
         positions = random_layout(graph.n, init.seed, init.box)
     return ResolvedScenario(
         config=config,
-        graph=graph,
         formation=formation,
         plan=plan,
         initial_positions=positions,
@@ -337,7 +335,6 @@ def make_builtin_scenario(
     *,
     k_gain: float = 20.0,
     d_star: float = 2.0,
-    kappa: float = 1.0,
     initial: InitialSpec | None = None,
     integrator: IntegratorConfig | None = None,
 ) -> ScenarioConfig:
@@ -354,7 +351,6 @@ def make_builtin_scenario(
         root_edge=(1, 2),
         d_star=d_star,
         k_gain=k_gain,
-        kappa=kappa,
         initial=initial,
         integrator=integrator if integrator is not None else IntegratorConfig(),
     )

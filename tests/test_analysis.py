@@ -8,7 +8,6 @@ from triform import (
     DesiredFormation,
     FormationGraph,
     IntegratorConfig,
-    K_HIGH,
     K_LOW,
     PairPotentialSpec,
     Position,
@@ -101,6 +100,17 @@ def test_high_gain_has_single_stable_equilibrium():
     assert eq.eigenvalues[1] == pytest.approx(32.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("k", [1e17, 1e20])
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_huge_gain_apex_stays_stable(a, k):
+    # The apex eigenvalues are 4a^2 and (12+K)a^2: stable for every K > 0,
+    # however far apart the two are.
+    (eq,) = enumerate_triangle_equilibria(a, k)
+    assert eq.stability == STABLE
+    assert eq.eigenvalues[0] == pytest.approx(4.0 * a * a, rel=1e-12)
+    assert eq.eigenvalues[1] == pytest.approx((12.0 + k) * a * a, rel=1e-12)
+
+
 def test_low_gain_catalogue_matches_formulas():
     a, k = 1.0, 0.6
     eqs = enumerate_triangle_equilibria(a, k)
@@ -177,6 +187,10 @@ def test_catalogue_rejects_bad_parameters():
         enumerate_triangle_equilibria(0.0, 1.0)
     with pytest.raises(ValueError):
         enumerate_triangle_equilibria(1.0, -2.0)
+    with pytest.raises(ValueError, match="a=1e-200"):  # a*a underflows to 0
+        enumerate_triangle_equilibria(1e-200, 20.0)
+    with pytest.raises(ValueError, match=r"a=1e\+154"):  # the Hessian overflows
+        enumerate_triangle_equilibria(1e154, 20.0)
 
 
 def test_eigenvalues_match_finite_difference_hessian():
@@ -209,7 +223,6 @@ def test_regime_classification(k, regime):
     out = classify_gain(k)
     assert out.regime == regime
     assert out.at_boundary is False
-    assert out.boundaries == (K_LOW, K_HIGH)
 
 
 def test_regime_boundary_is_flagged():

@@ -273,6 +273,36 @@ def test_simulate_labels_flipped_terminal_point(tmp_path):
     assert label["in_target_set"] is False
 
 
+# case: (d_star, start, terminal_equilibrium); each run converges at step 0.
+UNLABELLED_TRIANGLES = {
+    # Both base agents on one point have no pinned frame; this run used to end
+    # in a traceback without a manifest.
+    "coincident-base": (
+        2.0,
+        ((0.0, 0.0), (0.0, 0.0), (2.0, 0.0)),
+        {"matched": None, "detail": "base agents did not settle at d_star"},
+    ),
+    "subnormal-catalogue": (
+        1e-160,
+        ((-5e-161, 0.0), (5e-161, 0.0), (0.0, 1e-160)),
+        {"matched": None, "detail": "a=5e-161 gives a*a=2.5e-321, which is not a normal float"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNLABELLED_TRIANGLES))
+def test_simulate_unlabelled_terminal_triangle_still_writes_its_manifest(tmp_path, case):
+    d_star, start, label = UNLABELLED_TRIANGLES[case]
+    cfg = triangle_config(k_gain=0.6, d_star=d_star, initial=InitialSpec(positions=start))
+    cfg_path = tmp_path / "tri.json"
+    save_scenario(cfg, cfg_path)
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--config", cfg_path, "--out-dir", out) == 0
+    manifest = strict_manifest(out)
+    assert (manifest["termination_reason"], manifest["steps"]) == ("converged", 0)
+    assert manifest["terminal_equilibrium"] == label
+
+
 def test_simulate_config_error_exit_code_and_manifest_only(tmp_path):
     doc = config_to_dict(triangle_config())
     doc["k_gain"] = -1.0
@@ -501,6 +531,17 @@ def test_analyze_exact_boundary_row_is_degenerate(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["termination_reason"] == "ok"
 
 
+# sha256 of summary.csv from `analyze --k-range 0.2:3.0:0.2 --exact-boundary`;
+# these bytes must not move.
+ANALYZE_SUMMARY_GOLDEN = "49c2785cb9466385bd10ec8afe83dc3a0cc3440c934de22e6a4554f9864d310f"
+
+
+def test_analyze_summary_bytes_are_pinned(tmp_path):
+    out = tmp_path / "rep"
+    assert run_cli("analyze", "--k-range", "0.2:3.0:0.2", "--exact-boundary", "--out-dir", out) == 0
+    assert hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest() == ANALYZE_SUMMARY_GOLDEN
+
+
 def test_analyze_requires_a_gain(tmp_path):
     assert run_cli("analyze", "--out-dir", tmp_path / "rep") == 64
 
@@ -605,8 +646,10 @@ def test_basin_jobs_capped_by_cpus_and_cells(tmp_path, monkeypatch, jobs, grid, 
         (["sweep-gain", "--k-range", "0.5:inf:1"], "--k-range"),
         (["sweep-gain", "--k-range", "nan:1:1"], "--k-range"),
         (["analyze", "--k-range", "0:1:1"], "--k-range"),
+        (["analyze", "--k", 20.0, "--a", "1e-200"], "a=1e-200"),
         (["basin", "--k", 1.0, "--jobs", 0], "--jobs"),
         (["basin", "--k", 1.0, "--d-star", -1], "d_star"),
+        (["basin", "--k", 20.0, "--d-star", "1e-160"], "a*a"),
         (["basin", "--k", "nan"], "--k"),
         (["simulate", "--config", "missing.json"], "cannot read"),
         (["sweep-gain", "--k-range", "1e17:2e17:1"], "--k-range"),
@@ -626,8 +669,10 @@ def test_basin_jobs_capped_by_cpus_and_cells(tmp_path, monkeypatch, jobs, grid, 
         "sweep-infinite-stop",
         "sweep-nan-start",
         "analyze-zero-gain",
+        "analyze-underflowing-a",
         "basin-zero-jobs",
         "basin-negative-d-star",
+        "basin-subnormal-d-star",
         "basin-nan-gain",
         "simulate-missing-config",
         "sweep-step-below-resolution",
@@ -663,6 +708,17 @@ def test_help_still_exits_zero(capsys):
 # ---------------------------------------------------------------------------
 # sweep-gain command
 # ---------------------------------------------------------------------------
+
+# sha256 of sweep.csv from `sweep-gain --k-range 0.4:2.0:0.8 --grid 3x3`;
+# these bytes must not move.
+SWEEP_GOLDEN = "ca7050f2130d2bb0e5494f662c11fdd013eadc33a1ece6e52d7407a241ca3c7f"
+
+
+def test_sweep_csv_bytes_are_pinned(tmp_path):
+    out = tmp_path / "sweep"
+    assert run_cli("sweep-gain", "--k-range", "0.4:2.0:0.8", "--grid", "3x3", "--out-dir", out) == 0
+    assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == SWEEP_GOLDEN
+
 
 def test_sweep_gain_reports_regimes_and_fractions(tmp_path):
     out = tmp_path / "sweep"
