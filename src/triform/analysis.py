@@ -96,12 +96,15 @@ def symmetric_eigenvalues(h: np.ndarray) -> tuple[float, float]:
     """Eigenvalues of a symmetric 2x2 matrix, ascending.
 
     The smaller-magnitude eigenvalue is det / larger: ``mean - disc`` would
-    cancel to zero when one eigenvalue dwarfs the other.
+    cancel to zero when one eigenvalue dwarfs the other.  Each product is
+    divided by ``larger`` before it is formed: the determinant itself, of
+    order ``larger**2``, would overflow or underflow long before the entries.
     """
-    mean = 0.5 * float(h[0, 0] + h[1, 1])
-    disc = math.hypot(0.5 * float(h[0, 0] - h[1, 1]), float(h[0, 1]))
+    hxx, hxy, hyy = float(h[0, 0]), float(h[0, 1]), float(h[1, 1])
+    mean = 0.5 * (hxx + hyy)
+    disc = math.hypot(0.5 * (hxx - hyy), hxy)
     larger = mean + disc if mean >= 0.0 else mean - disc
-    smaller = float(h[0, 0] * h[1, 1] - h[0, 1] * h[0, 1]) / larger if larger else 0.0
+    smaller = hxx * (hyy / larger) - hxy * (hxy / larger) if larger else 0.0
     return (smaller, larger) if mean >= 0.0 else (larger, smaller)
 
 

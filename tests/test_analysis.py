@@ -100,11 +100,11 @@ def test_high_gain_has_single_stable_equilibrium():
     assert eq.eigenvalues[1] == pytest.approx(32.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("k", [1e17, 1e20])
-@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("k", [20.0, 1e17, 1e20])
+@pytest.mark.parametrize("a", [1e-100, 0.5, 1.0, 2.0, 1e100])
 def test_huge_gain_apex_stays_stable(a, k):
     # The apex eigenvalues are 4a^2 and (12+K)a^2: stable for every K > 0,
-    # however far apart the two are.
+    # however far apart the two are and whatever the scale of a.
     (eq,) = enumerate_triangle_equilibria(a, k)
     assert eq.stability == STABLE
     assert eq.eigenvalues[0] == pytest.approx(4.0 * a * a, rel=1e-12)

@@ -509,6 +509,15 @@ def test_analyze_single_gain(tmp_path):
     assert summary[1].split(",")[1] == "global"
 
 
+@pytest.mark.parametrize("a", ["1e-100", "1e100"])
+def test_analyze_apex_is_stable_at_extreme_scales(tmp_path, a):
+    out = tmp_path / "rep"
+    assert run_cli("analyze", "--k", 20.0, "--a", a, "--out-dir", out) == 0
+    (row,) = (out / "equilibria.csv").read_text().splitlines()[1:]
+    assert row.split(",")[3] == "apex-correct"
+    assert row.split(",")[8] == "stable"
+
+
 def test_analyze_sweep_stable_counts(tmp_path):
     out = tmp_path / "rep"
     assert run_cli("analyze", "--k-range", "0.1:3.0:0.1", "--out-dir", out) == 0
