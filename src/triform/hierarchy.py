@@ -273,12 +273,11 @@ def target_positions(plan: HierarchyPlan, df: DesiredFormation) -> list[Position
 FlatField = Callable[[list[float], list[float]], None]
 
 # Formations with at least this many agents get the numpy field kernel and
-# array state in the integrator; smaller ones keep the scalar loops, whose
-# per-call cost is lower.  Crossover of a whole RK4 step on random grown
-# graphs (2-core x86, Python 3.11, numpy 2.4): the scalar loops win every run
-# at 32 agents, the two are even at 40, and the arrays win 8 of 9 runs at 48
-# and every run from 64 on.
-ARRAY_MIN_AGENTS = 48
+# array state in the integrator; smaller ones keep the generated list kernel
+# and scalar loops.  Crossover of a whole RK4 step on random grown graphs
+# (2-core x86, Python 3.11, numpy 2.4): the arrays win 2 of 9 runs at 40
+# agents, 7 of 23 at 48, 7 of 18 at 56, 17 of 18 at 60 and 22 of 23 at 64.
+ARRAY_MIN_AGENTS = 60
 
 
 def uses_array_kernel(n: int) -> bool:
@@ -294,8 +293,15 @@ def compile_field(
     The returned callable fills ``out`` (length 2n) with the control input for
     the state ``p`` (x1, y1, x2, y2, ...).  It computes exactly the same
     floating-point expressions as :func:`control_field`; integrators use it to
-    avoid per-step object construction.  Below ``ARRAY_MIN_AGENTS`` agents
-    ``p`` and ``out`` are lists; from there on they are float64 arrays.
+    avoid per-step object construction.  From ``ARRAY_MIN_AGENTS`` agents on,
+    ``p`` and ``out`` are float64 arrays.  Below, they are lists and the
+    callable is one function generated for this plan: it unpacks every
+    coordinate into a local once, zeroes the stationary agent's entries and
+    runs the pair op and then each triangle op as straight-line code.  Its
+    source holds only integer offsets and fixed names; d2, k_gain, kappa and
+    every z_star are bound through its globals, so non-finite values behave
+    as in any other evaluation.  Building it takes about 0.3 ms at 3 agents
+    and 1.5 ms at 10.
     """
     d2 = df.d_star * df.d_star
     pair_ops: list[tuple[int, int]] = []
@@ -308,45 +314,48 @@ def compile_field(
             tri_ops.append(
                 (m, 2 * (asg.base1 - 1), 2 * (asg.base2 - 1), df.z_star(asg.clique_index))
             )
-    if uses_array_kernel(plan.graph.n):
+    n = plan.graph.n
+    if uses_array_kernel(n):
         return _array_field(pair_ops, tri_ops, d2, k_gain, kappa)
-    size = 2 * plan.graph.n
-    kap = kappa
-    kg = k_gain
+    root = 2 * (plan.processing_order[0] - 1)
+    lines = [
+        "def field(p, out):",
+        "    " + "".join(f"x{m}, y{m}, " for m in range(0, 2 * n, 2)) + "= p",
+        f"    out[{root}] = 0.0",
+        f"    out[{root} + 1] = 0.0",
+    ]
+    lines += [_PAIR_OP.format(m=m, a=a) for m, a in pair_ops]
+    env = {"d2": d2, "kg": k_gain, "kap": kappa}
+    for k, (m, f, s, z_star) in enumerate(tri_ops):
+        env[f"z_star{k}"] = z_star
+        lines.append(_TRIANGLE_OP.format(m=m, f=f, s=s, k=k))
+    exec(compile("\n".join(lines) + "\n", f"<triform field, {n} agents>", "exec"), env)
+    return env["field"]
 
-    # The triangle term inlines potentials._corner_gradient: calling it per
-    # triangle measured 13-14% slower.
-    def field(p: list[float], out: list[float]) -> None:
-        for m in range(size):
-            out[m] = 0.0
-        for m, a in pair_ops:
-            ex = p[m] - p[a]
-            ey = p[m + 1] - p[a + 1]
-            err = (ex * ex + ey * ey) - d2
-            out[m] = -(kap * (err * ex))
-            out[m + 1] = -(kap * (err * ey))
-        for m, f, s, z_star in tri_ops:
-            mx = p[m]
-            my = p[m + 1]
-            fx = p[f]
-            fy = p[f + 1]
-            sx = p[s]
-            sy = p[s + 1]
-            e1x = mx - fx
-            e1y = my - fy
-            e2x = mx - sx
-            e2y = my - sy
-            c1 = (e1x * e1x + e1y * e1y) - d2
-            c2 = (e2x * e2x + e2y * e2y) - d2
-            bx = sx - fx
-            by = sy - fy
-            z = 0.5 * (bx * (my - fy) - (mx - fx) * by)
-            area = kg * (z - z_star)
-            gx = c1 * e1x + c2 * e2x + area * (-0.5 * by)
-            gy = c1 * e1y + c2 * e2y + area * (0.5 * bx)
-            out[m] = -(kap * gx)
-            out[m + 1] = -(kap * gy)
-    return field
+
+# The ops of the generated list kernel, with x{m}, y{m} holding p[m], p[m + 1].
+# The triangle op states the lines of potentials._corner_gradient.
+_PAIR_OP = """
+    ex = x{m} - x{a}
+    ey = y{m} - y{a}
+    err = (ex * ex + ey * ey) - d2
+    out[{m}] = -(kap * (err * ex))
+    out[{m} + 1] = -(kap * (err * ey))"""
+_TRIANGLE_OP = """
+    e1x = x{m} - x{f}
+    e1y = y{m} - y{f}
+    e2x = x{m} - x{s}
+    e2y = y{m} - y{s}
+    c1 = (e1x * e1x + e1y * e1y) - d2
+    c2 = (e2x * e2x + e2y * e2y) - d2
+    bx = x{s} - x{f}
+    by = y{s} - y{f}
+    z = 0.5 * (bx * e1y - e1x * by)
+    area = kg * (z - z_star{k})
+    gx = c1 * e1x + c2 * e2x + area * (-0.5 * by)
+    gy = c1 * e1y + c2 * e2y + area * (0.5 * bx)
+    out[{m}] = -(kap * gx)
+    out[{m} + 1] = -(kap * gy)"""
 
 
 def _array_field(
@@ -360,8 +369,9 @@ def _array_field(
 
     Each evaluation gathers the triangle agents' coordinates through one
     index array built here and hands the columns to
-    :func:`~triform.potentials._corner_gradient`, whose expressions the scalar
-    closure inlines in the same order, so every entry matches it bit for bit.
+    :func:`~triform.potentials._corner_gradient`, whose lines the generated
+    scalar kernel repeats in the same order, so every entry matches it bit for
+    bit.
     ``-(kap * g)`` is computed as ``(-kap) * g``, which rounds identically.
     The plan's single pair agent keeps the scalar loop.
     """

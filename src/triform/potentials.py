@@ -117,7 +117,7 @@ def _corner_gradient(
     c2 = (e2x * e2x + e2y * e2y) - d2
     bx = sx - fx
     by = sy - fy
-    z = 0.5 * (bx * (my - fy) - (mx - fx) * by)
+    z = 0.5 * (bx * e1y - e1x * by)
     area = k_gain * (z - z_star)
     gx = c1 * e1x + c2 * e2x + area * (-0.5 * by)
     gy = c1 * e1y + c2 * e2y + area * (0.5 * bx)

@@ -770,26 +770,30 @@ def test_tracer_call_sites_resolve():
     assert missing == []
 
 
-def test_traced_array_simulate_counts_every_field_evaluation(tmp_path):
-    # Above ARRAY_MIN_AGENTS the numpy field must still pass through the tracer.
-    rng = random.Random(11)
-    graph, df, plan = grown_formation(rng, triform.hierarchy.ARRAY_MIN_AGENTS + 1)
-    start = tuple(
-        (q.x + rng.uniform(-0.1, 0.1), q.y + rng.uniform(-0.1, 0.1))
-        for q in target_positions(plan, df)
-    )
-    cfg = ScenarioConfig(
-        graph=graph,
-        root_edge=(1, 2),
-        d_star=2.0,
-        k_gain=20.0,
-        kappa=20.0,
-        initial=InitialSpec(positions=start),
-        integrator=IntegratorConfig(grad_norm_tol=1e-6),
-        z_star_signs=df.z_star_signs,
-    )
-    cfg_path = tmp_path / "grown.json"
-    save_scenario(cfg, cfg_path)
+@pytest.mark.parametrize("formation", ["grown-array", "paper10"])
+def test_traced_simulate_counts_every_field_evaluation(tmp_path, formation):
+    # Either field kernel, the generated list one for paper-10 and the numpy
+    # one above ARRAY_MIN_AGENTS, must pass every evaluation through the tracer.
+    cfg_path = SCENARIOS / "paper10-two-columns-k20.json"
+    if formation == "grown-array":
+        rng = random.Random(11)
+        graph, df, plan = grown_formation(rng, triform.hierarchy.ARRAY_MIN_AGENTS + 1)
+        start = tuple(
+            (q.x + rng.uniform(-0.1, 0.1), q.y + rng.uniform(-0.1, 0.1))
+            for q in target_positions(plan, df)
+        )
+        cfg = ScenarioConfig(
+            graph=graph,
+            root_edge=(1, 2),
+            d_star=2.0,
+            k_gain=20.0,
+            kappa=20.0,
+            initial=InitialSpec(positions=start),
+            integrator=IntegratorConfig(grad_norm_tol=1e-6),
+            z_star_signs=df.z_star_signs,
+        )
+        cfg_path = tmp_path / "grown.json"
+        save_scenario(cfg, cfg_path)
     tr = load_tracer().Tracer()
     with tr.patched():
         assert run_cli("simulate", "--config", cfg_path, "--out-dir", tmp_path / "run") == 0

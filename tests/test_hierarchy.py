@@ -17,6 +17,7 @@ from triform import (
 )
 from triform import hierarchy
 from triform.hierarchy import KIND_PAIR, KIND_STATIONARY, KIND_TRIANGLE, compile_field
+from triform.potentials import _corner_gradient
 
 from conftest import grow_henneberg, grown_formation
 
@@ -245,14 +246,16 @@ def test_kappa_scales_field_exactly(rng):
 
 
 def test_compiled_field_agrees_with_reference(rng):
-    n_large = hierarchy.ARRAY_MIN_AGENTS + 7
-    for setup in (triangle_setup, example_setup, lambda: grown_formation(rng, n_large)):
+    sizes = (4, 11, 25, hierarchy.ARRAY_MIN_AGENTS - 1, hierarchy.ARRAY_MIN_AGENTS + 7)
+    grown = [lambda n=n: grown_formation(rng, n) for n in sizes]  # random orientation signs
+    for setup in (triangle_setup, example_setup, *grown):
         _, df, plan = setup()
         n = plan.graph.n
         arrays = n >= hierarchy.ARRAY_MIN_AGENTS
         kappa = rng.uniform(0.5, 2.0)
         fast = compile_field(plan, df, k_gain=20.0, kappa=kappa)
-        out = np.full(2 * n, np.nan) if arrays else [0.0] * (2 * n)
+        # NaN everywhere, so an entry the kernel never writes cannot pass for 0.0
+        out = np.full(2 * n, np.nan) if arrays else [math.nan] * (2 * n)
         for _ in range(50):
             pts = [Position(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(n)]
             flat = [c for p in pts for c in (p.x, p.y)]
@@ -260,6 +263,41 @@ def test_compiled_field_agrees_with_reference(rng):
             ref = control_field(plan, df, pts, k_gain=20.0, kappa=kappa)
             want = [c for v in ref for c in (v.dx, v.dy)]
             assert np.array(out).tobytes() == np.array(want).tobytes()  # signed zeros too
+
+
+@pytest.mark.parametrize("setup", [triangle_setup, example_setup], ids=["triangle", "paper10"])
+def test_compiled_field_keeps_infinite_targets(rng, setup):
+    # d_star = 1e200 makes d2 and every z_star infinite.  control_field refuses
+    # such values (its specs and vectors must be finite), so the reference is
+    # the expressions it evaluates: the pair term and potentials._corner_gradient.
+    _, df, plan = setup(d_star=1e200)
+    n, kappa, d2 = plan.graph.n, 1.5, df.d_star * df.d_star
+    fast = compile_field(plan, df, k_gain=20.0, kappa=kappa)
+    # the generated source holds no float of the plan: they stay bound by name
+    assert {c for c in fast.__code__.co_consts if isinstance(c, float)} <= {0.0, 0.5, -0.5}
+    out = [math.nan] * (2 * n)
+    values = []
+    for _ in range(20):
+        pts = [Position(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(n)]
+        fast([c for p in pts for c in (p.x, p.y)], out)
+        want = []
+        for asg in plan.assignments:
+            q = pts[asg.agent - 1]
+            if asg.kind == KIND_STATIONARY:
+                want += [0.0, 0.0]
+                continue
+            if asg.kind == KIND_PAIR:
+                ex, ey = q.x - pts[asg.anchor - 1].x, q.y - pts[asg.anchor - 1].y
+                err = (ex * ex + ey * ey) - d2
+                gx, gy = err * ex, err * ey
+            else:
+                f, s = pts[asg.base1 - 1], pts[asg.base2 - 1]
+                z_star = df.z_star(asg.clique_index)
+                gx, gy = _corner_gradient(d2, 20.0, z_star, f.x, f.y, s.x, s.y, q.x, q.y)
+            want += [-(kappa * gx), -(kappa * gy)]
+        assert np.array(out).tobytes() == np.array(want).tobytes()  # NaN signs too
+        values += want
+    assert math.isinf(d2) and {"inf", "-inf", "nan"} <= set(map(str, values))
 
 
 def test_total_potential_zero_only_at_target(rng):
