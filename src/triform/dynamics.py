@@ -3,10 +3,9 @@
 The coupled system moves every agent along its own control input.  Runs end
 when the largest control norm drops below a tolerance (converged), when the
 time budget runs out (timeout), or when any coordinate leaves a large bound
-or the state or the control field stops being finite (diverged).  The inner
-loop works on flat coordinate lists, or on float64 arrays for formations of
-at least ``ARRAY_MIN_AGENTS`` agents; trajectories are recorded on a stride
-and returned as arrays.
+or the state or the control field stops being finite (diverged).  One loop
+runs them, stepping float64 arrays with numpy from ``ARRAY_MIN_AGENTS``
+agents on and flat lists with generated straight-line code below.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +30,8 @@ DIVERGED = "diverged"
 LABEL_CORRECT = "correct"
 LABEL_INCORRECT = "incorrect"
 LABEL_UNRESOLVED = "unresolved"
+
+MAX_STEPS = 10**7  # most steps a run may take; at a dt with p + dt*u == p none converges
 
 
 @dataclass(frozen=True)
@@ -52,10 +54,10 @@ class IntegratorConfig:
             raise ValueError(f"method must be 'rk4' or 'euler', got {self.method!r}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
-        if not (math.isfinite(self.t_max) and self.t_max > 0):
-            raise ValueError(f"t_max must be finite and positive, got {self.t_max}")
         if self.dt >= self.t_max:
             raise ValueError(f"dt={self.dt} must be smaller than t_max={self.t_max}")
+        if not self.t_max / self.dt <= MAX_STEPS:  # an infinite or NaN t_max too
+            raise ValueError(f"t_max={self.t_max} must be within {MAX_STEPS} steps of dt={self.dt}")
         if not (math.isfinite(self.grad_norm_tol) and self.grad_norm_tol > 0):
             raise ValueError(f"grad_norm_tol must be positive, got {self.grad_norm_tol}")
         if self.record_stride < 1:
@@ -123,58 +125,55 @@ def simulate(
         p.extend((q.x, q.y))
 
     field_eval = compile_field(plan, df, k_gain=k_gain, kappa=kappa)
-    size = 2 * n
-    # Large formations hold the state and the RK4 stages as float64 arrays and
-    # update them whole; the expressions and their order match the scalar loops.
-    arrays = uses_array_kernel(n)
-    if arrays:
-        p = np.array(p)
-        u = np.zeros(size)
-        k2 = np.zeros(size)
-        k3 = np.zeros(size)
-        k4 = np.zeros(size)
-    else:
-        u = [0.0] * size
-        k2 = [0.0] * size
-        k3 = [0.0] * size
-        k4 = [0.0] * size
-        tmp = [0.0] * size
-
     dt = cfg.dt
     half = 0.5 * dt
     sixth = dt / 6.0
+    rk4 = cfg.method == "rk4"
+    # Both paths evaluate the same expressions in the same order.  advance(p, u)
+    # steps p in place and returns max |p|, norm2(u) the largest squared control
+    # norm; a NaN term makes either NaN.
+    arrays = uses_array_kernel(n)
+    if arrays:
+        p, u = np.array(p), np.zeros(2 * n)
+        k2, k3, k4 = np.zeros(2 * n), np.zeros(2 * n), np.zeros(2 * n)
+
+        def advance(p: np.ndarray, u: np.ndarray) -> float:
+            if rk4:
+                field_eval(p + half * u, k2)
+                field_eval(p + half * k2, k3)
+                field_eval(p + dt * k3, k4)
+                p += sixth * (u + 2.0 * (k2 + k3) + k4)
+            else:
+                p += dt * u
+            return float(np.max(np.abs(p)))
+
+        def norm2(u: np.ndarray) -> float:
+            return float(np.max(u[0::2] * u[0::2] + u[1::2] * u[1::2]))
+
+    else:
+        u = [0.0] * (2 * n)
+        advance, norm2 = _list_step(n, rk4)(field_eval, dt, half, sixth, 2.0)
+
     tol2 = cfg.grad_norm_tol * cfg.grad_norm_tol
     bound = cfg.divergence_bound
     max_steps = int(math.ceil(cfg.t_max / dt))
-    rk4 = cfg.method == "rk4"
 
-    # Samples go to flat buffers: coordinates, times and field norms; the
-    # formation errors of all samples are computed once at the end.
+    # Samples go to flat buffers: coordinates, step numbers and field norms;
+    # the formation errors of all samples are computed once at the end.
     coords = array("d")
-    times = array("d")
+    recorded = array("q")
     u_norms = array("d")
-    last_recorded = -1
 
     def record(step: int, gmax2: float) -> None:
-        nonlocal last_recorded
         coords.fromlist(p.tolist() if arrays else p)
-        times.append(step * dt)
+        recorded.append(step)
         u_norms.append(math.sqrt(gmax2))
-        last_recorded = step
 
-    reason = TIMEOUT
     step = 0
     worst = 0.0
     while True:
         field_eval(p, u)
-        if arrays:
-            gmax2 = float(np.max(u[0::2] * u[0::2] + u[1::2] * u[1::2]))
-        else:
-            gmax2 = 0.0
-            for m in range(0, size, 2):
-                g2 = u[m] * u[m] + u[m + 1] * u[m + 1]
-                if g2 > gmax2 or g2 != g2:  # a NaN sticks, as in np.max
-                    gmax2 = g2
+        gmax2 = norm2(u)
         if step % cfg.record_stride == 0:
             record(step, gmax2)
         if not math.isfinite(gmax2):  # NaN or overflowing field
@@ -186,37 +185,7 @@ def simulate(
         if step >= max_steps:
             reason = TIMEOUT
             break
-
-        if arrays:
-            if rk4:
-                field_eval(p + half * u, k2)
-                field_eval(p + half * k2, k3)
-                field_eval(p + dt * k3, k4)
-                p += sixth * (u + 2.0 * (k2 + k3) + k4)
-            else:
-                p += dt * u
-            worst = float(np.max(np.abs(p)))
-        else:
-            if rk4:
-                for m in range(size):
-                    tmp[m] = p[m] + half * u[m]
-                field_eval(tmp, k2)
-                for m in range(size):
-                    tmp[m] = p[m] + half * k2[m]
-                field_eval(tmp, k3)
-                for m in range(size):
-                    tmp[m] = p[m] + dt * k3[m]
-                field_eval(tmp, k4)
-                for m in range(size):
-                    p[m] += sixth * (u[m] + 2.0 * (k2[m] + k3[m]) + k4[m])
-            else:
-                for m in range(size):
-                    p[m] += dt * u[m]
-            worst = 0.0
-            for m in range(size):
-                a = abs(p[m])
-                if a > worst or a != a:
-                    worst = a
+        worst = advance(p, u)
         step += 1
         if not worst <= bound:  # NaN too
             reason = DIVERGED
@@ -224,17 +193,55 @@ def simulate(
 
     # After a divergence the state may no longer be finite (worst is then inf
     # or NaN); the last good sample is kept instead.
-    if last_recorded != step and math.isfinite(worst):
+    if recorded[-1] != step and math.isfinite(worst):
         record(step, gmax2)
 
-    states = np.frombuffer(coords).reshape(len(times), n, 2)
+    states = np.frombuffer(coords).reshape(len(recorded), n, 2)
     dist_err, area_err = formation_errors(df, states)
     trajectory = Trajectory(
-        times=np.frombuffer(times),
+        times=np.asarray(recorded) * dt,
         states=states,
         metrics=np.column_stack((dist_err, area_err, np.frombuffer(u_norms))),
     )
     return SimulationResult(trajectory=trajectory, reason=reason, t_final=step * dt, steps=step)
+
+
+@lru_cache(maxsize=32)
+def _list_step(n: int, rk4: bool):
+    """``make(field, dt, half, sixth, two)`` giving ``(advance, norm2)`` on lists.
+
+    The scalar loops written out, a local per coordinate; the source holds no float.
+    """
+    size = 2 * n
+
+    def row(template: str) -> str:
+        return ", ".join(template.format(m) for m in range(size))
+
+    lines = [
+        "def make(field, dt, half, sixth, two):",
+        f"    k = [0] * {size}  # the field writes every entry",
+        "    def advance(p, u):",
+        f"        {row('p{}')}, = p",
+        f"        {row('u{}')}, = u",
+    ]
+    if rk4:
+        for h, prev, stage in (("half", "u", "a"), ("half", "a", "b"), ("dt", "b", "c")):
+            lines.append(f"        field([{row('p{0} + %s * %s{0}' % (h, prev))}], k)")
+            lines.append(f"        {row(stage + '{}')}, = k")
+        update = "p{0} + sixth * (u{0} + two * (a{0} + b{0}) + c{0})"
+    else:
+        update = "p{0} + dt * u{0}"
+    lines += [f"        q{m} = {update.format(m)}" for m in range(size)]
+    lines += [f"        p[:] = {row('q{}')},", "        w = abs(q0)"]
+    for m in range(1, size):
+        lines += [f"        v = abs(q{m})", "        if v > w or v != v: w = v"]
+    lines += ["        return w", "    return advance, norm2", "def norm2(u):"]
+    lines += [f"    {row('u{}')}, = u", "    g = u0 * u0 + u1 * u1"]
+    for m in range(2, size, 2):
+        lines += [f"    v = u{m} * u{m} + u{m + 1} * u{m + 1}", "    if v > g or v != v: g = v"]
+    env: dict = {}
+    exec(compile("\n".join(lines + ["    return g", ""]), f"<triform {n}-agent step>", "exec"), env)
+    return env["make"]
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -272,11 +273,8 @@ def target_positions(plan: HierarchyPlan, df: DesiredFormation) -> list[Position
 
 FlatField = Callable[[list[float], list[float]], None]
 
-# Formations with at least this many agents get the numpy field kernel and
-# array state in the integrator; smaller ones keep the generated list kernel
-# and scalar loops.  Crossover of a whole RK4 step on random grown graphs
-# (2-core x86, Python 3.11, numpy 2.4): the arrays win 2 of 9 runs at 40
-# agents, 7 of 23 at 48, 7 of 18 at 56, 17 of 18 at 60 and 22 of 23 at 64.
+# From this many agents on the numpy field kernel and step run, below them the
+# generated list ones; it sits above their measured crossover (README).
 ARRAY_MIN_AGENTS = 60
 
 
@@ -291,17 +289,12 @@ def compile_field(
     """Build a fast evaluator of the control field over flat coordinates.
 
     The returned callable fills ``out`` (length 2n) with the control input for
-    the state ``p`` (x1, y1, x2, y2, ...).  It computes exactly the same
-    floating-point expressions as :func:`control_field`; integrators use it to
-    avoid per-step object construction.  From ``ARRAY_MIN_AGENTS`` agents on,
-    ``p`` and ``out`` are float64 arrays.  Below, they are lists and the
-    callable is one function generated for this plan: it unpacks every
-    coordinate into a local once, zeroes the stationary agent's entries and
-    runs the pair op and then each triangle op as straight-line code.  Its
-    source holds only integer offsets and fixed names; d2, k_gain, kappa and
-    every z_star are bound through its globals, so non-finite values behave
-    as in any other evaluation.  Building it takes about 0.3 ms at 3 agents
-    and 1.5 ms at 10.
+    the state ``p`` (x1, y1, x2, y2, ...), computing exactly the expressions
+    of :func:`control_field`: numpy on float64 arrays from ``ARRAY_MIN_AGENTS``
+    agents on, generated straight-line code on lists below.  That code's source
+    holds only integer offsets and names; d2, k_gain, kappa and every z_star
+    are its globals, so non-finite values behave as in any other evaluation
+    and plans of one shape share one compiled code object.
     """
     d2 = df.d_star * df.d_star
     pair_ops: list[tuple[int, int]] = []
@@ -329,9 +322,11 @@ def compile_field(
     for k, (m, f, s, z_star) in enumerate(tri_ops):
         env[f"z_star{k}"] = z_star
         lines.append(_TRIANGLE_OP.format(m=m, f=f, s=s, k=k))
-    exec(compile("\n".join(lines) + "\n", f"<triform field, {n} agents>", "exec"), env)
+    exec(_compile("\n".join(lines) + "\n", f"<triform field, {n} agents>", "exec"), env)
     return env["field"]
 
+
+_compile = lru_cache(maxsize=32)(compile)  # keyed by the source text
 
 # The ops of the generated list kernel, with x{m}, y{m} holding p[m], p[m + 1].
 # The triangle op states the lines of potentials._corner_gradient.

@@ -144,6 +144,7 @@ MALFORMED = {
     "kappa-string": (("kappa",), "1", "kappa"),
     "kappa-nan": (("kappa",), math.nan, "kappa"),
     "dt-bool": (("integrator", "dt"), True, "integrator.dt"),
+    "dt-too-many-steps": (("integrator", "dt"), 1e-300, "integrator"),
     "t-max-string": (("integrator", "t_max"), "50", "integrator.t_max"),
     "tolerance-list": (("integrator", "grad_norm_tol"), [1e-9], "integrator.grad_norm_tol"),
     "bound-bool": (("integrator", "divergence_bound"), True, "integrator.divergence_bound"),
@@ -177,7 +178,7 @@ def test_config_from_dict_rejects_malformed_values(case):
     assert err.value.field_path == MALFORMED[case][2]
 
 
-@pytest.mark.parametrize("case", ["seed-list", "edges-number", "dt-bool"])
+@pytest.mark.parametrize("case", ["seed-list", "edges-number", "dt-bool", "dt-too-many-steps"])
 def test_simulate_rejects_malformed_document(tmp_path, case):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(malformed_document(case)))
@@ -671,6 +672,10 @@ def test_basin_jobs_capped_by_cpus_and_cells(tmp_path, monkeypatch, jobs, grid, 
         (["basin"], "--k"),
         (["basin", "--k", 20.0, "--grid", "100000x100000"], "--grid"),
         (["sweep-gain", "--k-range", "1:1:1", "--grid", "1001x1000"], "--grid"),
+        (["simulate", "--config", SCENARIOS / "triangle-flip-k06.json", "--dt", "1e-300"], "steps"),
+        (["simulate", "--config", SCENARIOS / "paper10-random-k20.json", "--t-max", "1e5"], "steps"),
+        (["basin", "--k", 20.0, "--dt", "1e-300"], "steps"),
+        (["sweep-gain", "--k-range", "1:1:1", "--dt", "1e-300"], "steps"),
     ],
     ids=[
         "sweep-negative-d-star",
@@ -694,6 +699,10 @@ def test_basin_jobs_capped_by_cpus_and_cells(tmp_path, monkeypatch, jobs, grid, 
         "basin-missing-gain",
         "basin-too-many-cells",
         "sweep-too-many-cells",
+        "simulate-tiny-dt",
+        "simulate-long-t-max",
+        "basin-tiny-dt",
+        "sweep-tiny-dt",
     ],
 )
 def test_rejected_inputs_write_a_config_error_manifest(tmp_path, argv, field):
@@ -770,11 +779,17 @@ def test_tracer_call_sites_resolve():
     assert missing == []
 
 
-@pytest.mark.parametrize("formation", ["grown-array", "paper10"])
-def test_traced_simulate_counts_every_field_evaluation(tmp_path, formation):
+@pytest.mark.parametrize(
+    "formation, method",
+    [("grown-array", "rk4"), ("paper10", "rk4"), ("grown-array", "euler"), ("paper10", "euler")],
+    ids=["grown-array", "paper10", "grown-array-euler", "paper10-euler"],
+)
+def test_traced_simulate_counts_every_field_evaluation(tmp_path, formation, method):
     # Either field kernel, the generated list one for paper-10 and the numpy
-    # one above ARRAY_MIN_AGENTS, must pass every evaluation through the tracer.
-    cfg_path = SCENARIOS / "paper10-two-columns-k20.json"
+    # one above ARRAY_MIN_AGENTS, and either step must pass every evaluation
+    # through the tracer: one per step for Euler, four for RK4, and one more
+    # for the final state.
+    cfg_path = tmp_path / f"{formation}.json"
     if formation == "grown-array":
         rng = random.Random(11)
         graph, df, plan = grown_formation(rng, triform.hierarchy.ARRAY_MIN_AGENTS + 1)
@@ -789,17 +804,21 @@ def test_traced_simulate_counts_every_field_evaluation(tmp_path, formation):
             k_gain=20.0,
             kappa=20.0,
             initial=InitialSpec(positions=start),
-            integrator=IntegratorConfig(grad_norm_tol=1e-6),
+            integrator=IntegratorConfig(method=method, grad_norm_tol=1e-6),
             z_star_signs=df.z_star_signs,
         )
-        cfg_path = tmp_path / "grown.json"
         save_scenario(cfg, cfg_path)
+    else:
+        doc = json.loads((SCENARIOS / "paper10-two-columns-k20.json").read_text())
+        doc["integrator"]["method"] = method
+        cfg_path.write_text(json.dumps(doc))
     tr = load_tracer().Tracer()
     with tr.patched():
         assert run_cli("simulate", "--config", cfg_path, "--out-dir", tmp_path / "run") == 0
     (span,) = [sp for sp in tr.spans if sp.name == "dynamics.simulate"]
     assert span.attrs["reason"] == "converged" and span.attrs["steps"] > 0
-    assert span.field_evals == 1 + 4 * span.attrs["steps"]
+    stages = 4 if method == "rk4" else 1
+    assert span.field_evals == 1 + stages * span.attrs["steps"]
 
 
 def test_traced_simulate_computes_formation_errors_once_per_run(tmp_path):

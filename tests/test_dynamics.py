@@ -1,6 +1,8 @@
 import math
 import random
+from array import array
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,13 +21,15 @@ from triform import (
 )
 from triform import hierarchy
 from triform.cli import _run_basin
-from triform.dynamics import CONVERGED, DIVERGED, TIMEOUT, probe_points
-from triform.hierarchy import target_positions
-from triform.scenario import make_builtin_scenario, resolve, two_columns_layout
+from triform.dynamics import CONVERGED, DIVERGED, TIMEOUT, _list_step, probe_points
+from triform.graph import formation_errors
+from triform.hierarchy import compile_field, target_positions
+from triform.scenario import load_scenario, make_builtin_scenario, resolve, two_columns_layout
 
 from conftest import grown_formation
 
 SQRT3 = math.sqrt(3.0)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def triangle_setup(d_star=2.0):
@@ -253,6 +257,163 @@ def test_array_and_scalar_paths_agree_bit_for_bit(monkeypatch, method, ending):
     for name in ("times", "states", "metrics"):
         a, b = getattr(scalar.trajectory, name), getattr(arrays.trajectory, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# The generated list step against the scalar loops it replaced
+# ---------------------------------------------------------------------------
+
+def reference_simulate(plan, df, init, cfg, *, k_gain, kappa=1.0):
+    """simulate's list path as it was before its step was generated, kept verbatim."""
+    n = plan.graph.n
+    p = [c for q in init for c in (q.x, q.y)]
+    field_eval = compile_field(plan, df, k_gain=k_gain, kappa=kappa)
+    size = 2 * n
+    u = [0.0] * size
+    k2 = [0.0] * size
+    k3 = [0.0] * size
+    k4 = [0.0] * size
+    tmp = [0.0] * size
+
+    dt = cfg.dt
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    tol2 = cfg.grad_norm_tol * cfg.grad_norm_tol
+    bound = cfg.divergence_bound
+    max_steps = int(math.ceil(cfg.t_max / dt))
+    rk4 = cfg.method == "rk4"
+
+    coords = array("d")
+    times = array("d")
+    u_norms = array("d")
+    last_recorded = -1
+
+    def record(step, gmax2):
+        nonlocal last_recorded
+        coords.fromlist(p)
+        times.append(step * dt)
+        u_norms.append(math.sqrt(gmax2))
+        last_recorded = step
+
+    reason = TIMEOUT
+    step = 0
+    worst = 0.0
+    while True:
+        field_eval(p, u)
+        gmax2 = 0.0
+        for m in range(0, size, 2):
+            g2 = u[m] * u[m] + u[m + 1] * u[m + 1]
+            if g2 > gmax2 or g2 != g2:  # a NaN sticks, as in np.max
+                gmax2 = g2
+        if step % cfg.record_stride == 0:
+            record(step, gmax2)
+        if not math.isfinite(gmax2):  # NaN or overflowing field
+            reason = DIVERGED
+            break
+        if gmax2 < tol2:
+            reason = CONVERGED
+            break
+        if step >= max_steps:
+            reason = TIMEOUT
+            break
+
+        if rk4:
+            for m in range(size):
+                tmp[m] = p[m] + half * u[m]
+            field_eval(tmp, k2)
+            for m in range(size):
+                tmp[m] = p[m] + half * k2[m]
+            field_eval(tmp, k3)
+            for m in range(size):
+                tmp[m] = p[m] + dt * k3[m]
+            field_eval(tmp, k4)
+            for m in range(size):
+                p[m] += sixth * (u[m] + 2.0 * (k2[m] + k3[m]) + k4[m])
+        else:
+            for m in range(size):
+                p[m] += dt * u[m]
+        worst = 0.0
+        for m in range(size):
+            a = abs(p[m])
+            if a > worst or a != a:
+                worst = a
+        step += 1
+        if not worst <= bound:  # NaN too
+            reason = DIVERGED
+            break
+
+    if last_recorded != step and math.isfinite(worst):
+        record(step, gmax2)
+
+    states = np.frombuffer(coords).reshape(len(times), n, 2)
+    dist_err, area_err = formation_errors(df, states)
+    metrics = np.column_stack((dist_err, area_err, np.frombuffer(u_norms)))
+    return np.frombuffer(times), states, metrics, step, reason
+
+
+def assert_matches_the_scalar_loops(plan, df, init, cfg, k_gain, kappa):
+    assert not hierarchy.uses_array_kernel(plan.graph.n)
+    res = simulate(plan, df, init, cfg, k_gain=k_gain, kappa=kappa)
+    times, states, metrics, steps, reason = reference_simulate(
+        plan, df, init, cfg, k_gain=k_gain, kappa=kappa
+    )
+    assert (res.steps, res.reason, res.t_final) == (steps, reason, steps * cfg.dt)
+    for got, want in zip((res.trajectory.times, res.trajectory.states, res.trajectory.metrics),
+                         (times, states, metrics)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()  # NaN bits too
+    return res
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("name", ["paper10-two-columns-k20", "paper10-random-k20", "triangle-flip-k06"])
+def test_generated_step_matches_the_scalar_loops_on_shipped_scenarios(name, method):
+    scenario = resolve(load_scenario(SCENARIOS / f"{name}.json"))
+    cfg = replace(scenario.config.integrator, method=method)
+    res = assert_matches_the_scalar_loops(
+        scenario.plan, scenario.formation, scenario.initial_positions, cfg,
+        scenario.config.k_gain, scenario.config.kappa,
+    )
+    assert res.reason == CONVERGED
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("ending", sorted(ENDINGS))
+@pytest.mark.parametrize("n", [3, 4, 11, 25, hierarchy.ARRAY_MIN_AGENTS - 1])
+def test_generated_step_matches_the_scalar_loops_on_grown_graphs(n, ending, method):
+    cfg, spread = ENDINGS[ending]
+    rng = random.Random(1000 + n)
+    _, df, plan = grown_formation(rng, n)  # random orientation signs
+    init = [
+        Position(q.x + rng.uniform(-spread, spread), q.y + rng.uniform(-spread, spread))
+        for q in target_positions(plan, df)
+    ]
+    res = assert_matches_the_scalar_loops(plan, df, init, replace(cfg, method=method), 20.0, 20.0)
+    assert res.reason == ending
+
+
+# The NON_FINITE runs, and one whose free agent leaves the bound along the y
+# axis, so that only the last coordinate of the state exceeds it.
+DIVERGING = {**NON_FINITE, "escapes-in-last-coordinate": (1.0, 20.0, (0.0, 1e3), 1)}
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("case", sorted(DIVERGING))
+def test_generated_step_matches_the_scalar_loops_on_diverging_runs(case, method):
+    kappa, k_gain, start, _ = DIVERGING[case]
+    df, plan = triangle_setup()
+    cfg = IntegratorConfig(method=method, record_stride=1)
+    res = assert_matches_the_scalar_loops(plan, df, pinned_init(*start), cfg, k_gain, kappa)
+    assert res.reason == DIVERGED
+
+
+@pytest.mark.parametrize("rk4", [True, False], ids=["rk4", "euler"])
+def test_generated_step_holds_no_float(rk4):
+    # dt and its fractions are bound by name, so one cached step serves every dt
+    for n in (3, 10):
+        make = _list_step(n, rk4)
+        advance, norm2 = make(None, 1e-3, 5e-4, 1e-3 / 6.0, 2.0)
+        codes = (make.__code__, advance.__code__, norm2.__code__)
+        assert [c for code in codes for c in code.co_consts if isinstance(c, float)] == []
 
 
 def test_simulate_rejects_wrong_agent_count():
