@@ -39,7 +39,7 @@ from .graph import (
 from .hierarchy import (
     HierarchyError,
     HierarchyPlan,
-    PotentialAssignment,
+    TriangleAssignment,
     build_hierarchy,
     control_field,
     target_positions,

@@ -45,6 +45,8 @@ from .dynamics import (
     simulate,
 )
 from .geometry import Position
+# Unused here, but kept: perfbench/tracer.py patches this attribute, and
+# test_tracer_call_sites_resolve checks that it exists.
 from .graph import formation_errors
 from .scenario import (
     ConfigError,
@@ -67,11 +69,7 @@ _VERSIONS = {"triform": __version__, "python": platform.python_version(), "numpy
 
 
 def _fmt(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
@@ -184,8 +182,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_trajectory(out_dir, traj)
 
-    final = result.final_positions()
-    dist_err, area_err = formation_errors(scenario.formation, final)
+    dist_err, area_err = traj.metrics[-1, :2].tolist()
     manifest: dict[str, Any] = {
         "config": config_to_dict(scenario.config),
         "termination_reason": result.reason,
@@ -198,19 +195,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if result.diverged_at is not None:
         manifest["diverged_at"] = result.diverged_at
     if n == 3 and result.reason == CONVERGED:
-        manifest["terminal_equilibrium"] = _terminal_equilibrium(scenario, final)
+        manifest["terminal_equilibrium"] = _terminal_equilibrium(scenario, result.final_positions())
     _write_manifest(out_dir, "simulate", started, **manifest)
     print(f"{result.reason}: t={result.t_final:.3f} max_dist_err={dist_err:.3e} max_area_err={area_err:.3e}")
     return _REASON_EXIT[result.reason]
 
 
 def _terminal_equilibrium(scenario, final: list[Position]) -> dict[str, Any]:
-    """Label a converged 3-agent run against the pinned equilibrium catalogue."""
+    """Label a converged 3-agent run against the pinned equilibrium catalogue.
+
+    The triangle agent is the apex; its base is ordered so that the target
+    has positive signed area, where the catalogue's correct apex lies.
+    """
+    (tri,) = scenario.plan.triangles
+    base1, base2, apex = (final[i - 1] for i in (tri.base1, tri.base2, tri.agent))
+    if scenario.formation.z_star_signs[tri.clique_index] < 0:
+        base1, base2 = base2, base1
     d = scenario.formation.d_star
     # Checked before aligning: coincident base agents have no canonical frame.
-    if abs(math.dist(final[0].as_tuple(), final[1].as_tuple()) - d) > 1e-6 * d:
+    if abs(math.dist(base1.as_tuple(), base2.as_tuple()) - d) > 1e-6 * d:
         return {"matched": None, "detail": "base agents did not settle at d_star"}
-    _, pk = align_to_pinned_frame(final[0], final[1], final[2])
+    _, pk = align_to_pinned_frame(base1, base2, apex)
     try:
         eqs = enumerate_triangle_equilibria(0.5 * d, scenario.config.k_gain)
     except ValueError as exc:  # d_star beyond the catalogue's float range

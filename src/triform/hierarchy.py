@@ -30,56 +30,46 @@ from .potentials import (
     triangle_potential,
 )
 
-KIND_STATIONARY = "stationary"
-KIND_PAIR = "pair"
-KIND_TRIANGLE = "triangle"
-
 
 class HierarchyError(ValueError):
     """Raised when no layered assignment exists for a graph and root edge."""
 
 
 @dataclass(frozen=True)
-class PotentialAssignment:
-    """What one agent descends: nothing, a pair potential, or a triangle potential.
+class TriangleAssignment:
+    """One agent descending the potential of triangle (base1, base2, agent).
 
-    For triangles, (base1, base2, agent) is the clique in the vertex order
-    whose desired signed area carries the stored orientation sign, i.e. a
-    cyclic rotation of the graph's clique putting this agent last.
+    That is the clique in the vertex order whose desired signed area carries
+    the stored orientation sign, i.e. a cyclic rotation of the graph's clique
+    putting this agent last.
     """
 
     agent: int
-    kind: str
+    base1: int
+    base2: int
+    clique_index: int
     layer: int
-    anchor: int | None = None
-    base1: int | None = None
-    base2: int | None = None
-    clique_index: int | None = None
-
-    def dependencies(self) -> tuple[int, ...]:
-        if self.kind == KIND_PAIR:
-            return (self.anchor,)
-        if self.kind == KIND_TRIANGLE:
-            return (self.base1, self.base2)
-        return ()
 
 
 @dataclass(frozen=True)
 class HierarchyPlan:
-    """All agents' assignments plus a dependency-consistent processing order."""
+    """The stationary root, the pair agent anchored to it, and every other
+    agent's triangle in a dependency-consistent processing order."""
 
     graph: FormationGraph
-    assignments: tuple[PotentialAssignment, ...]
-    processing_order: tuple[int, ...]
+    root: int
+    pair: int
+    triangles: tuple[TriangleAssignment, ...]
 
-    def assignment_for(self, agent: int) -> PotentialAssignment:
-        return self.assignments[agent - 1]
+    @property
+    def processing_order(self) -> tuple[int, ...]:
+        return (self.root, self.pair, *(t.agent for t in self.triangles))
 
     def layers(self) -> dict[int, tuple[int, ...]]:
         """Agents grouped by layer label, each group in processing order."""
-        out: dict[int, list[int]] = {}
-        for agent in self.processing_order:
-            out.setdefault(self.assignment_for(agent).layer, []).append(agent)
+        out: dict[int, list[int]] = {1: [self.root], 2: [self.pair]}
+        for t in self.triangles:
+            out.setdefault(t.layer, []).append(t.agent)
         return {layer: tuple(agents) for layer, agents in sorted(out.items())}
 
 
@@ -101,27 +91,21 @@ def build_hierarchy(graph: FormationGraph, root_edge: tuple[int, int]) -> Hierar
     check = validate_triangulated_laman(graph)
     if not check.ok:
         raise HierarchyError(f"graph is not triangulated-constructible: {check.violation}")
-    root, anchor_target = int(root_edge[0]), int(root_edge[1])
-    if not graph.has_edge(root, anchor_target):
-        raise HierarchyError(f"root edge ({root}, {anchor_target}) is not in the graph")
+    root, pair = int(root_edge[0]), int(root_edge[1])
+    if not graph.has_edge(root, pair):
+        raise HierarchyError(f"root edge ({root}, {pair}) is not in the graph")
 
     adj = graph.adjacency()
     hops = _hop_distances(adj, root)
-
-    layer_of = {root: 1, anchor_target: 2}
-    assignments: dict[int, PotentialAssignment] = {
-        root: PotentialAssignment(agent=root, kind=KIND_STATIONARY, layer=1),
-        anchor_target: PotentialAssignment(
-            agent=anchor_target, kind=KIND_PAIR, layer=2, anchor=root
-        ),
-    }
-    order = growth_order(adj, (root, anchor_target))
+    order = growth_order(adj, (root, pair))
     if len(order) < graph.n:
         stuck = min(set(adj).difference(order))
         raise HierarchyError(
             f"agent {stuck} has no pair of adjacent assigned neighbours; "
-            f"the graph is not constructible from root edge ({root}, {anchor_target})"
+            f"the graph is not constructible from root edge ({root}, {pair})"
         )
+    layer_of = {root: 1, pair: 2}
+    triangles = []
     for agent in order[2:]:
         assigned = [a for a in adj[agent] if a in layer_of]
         base = min(
@@ -130,22 +114,9 @@ def build_hierarchy(graph: FormationGraph, root_edge: tuple[int, int]) -> Hierar
         )
         ci = graph.clique_index((base[0], base[1], agent))
         base1, base2 = _oriented_base(graph.cliques[ci], agent)
-        layer = max(2 + hops[agent], layer_of[base1], layer_of[base2])
-        assignments[agent] = PotentialAssignment(
-            agent=agent,
-            kind=KIND_TRIANGLE,
-            layer=layer,
-            base1=base1,
-            base2=base2,
-            clique_index=ci,
-        )
-        layer_of[agent] = layer
-
-    return HierarchyPlan(
-        graph=graph,
-        assignments=tuple(assignments[a] for a in range(1, graph.n + 1)),
-        processing_order=tuple(order),
-    )
+        layer_of[agent] = max(2 + hops[agent], layer_of[base1], layer_of[base2])
+        triangles.append(TriangleAssignment(agent, base1, base2, ci, layer_of[agent]))
+    return HierarchyPlan(graph=graph, root=root, pair=pair, triangles=tuple(triangles))
 
 
 def _hop_distances(adj: dict[int, set[int]], source: int) -> dict[int, int]:
@@ -188,32 +159,22 @@ def control_field(
     """Control input for every agent: minus kappa times its own potential's gradient.
 
     The stationary agent gets the zero vector.  Agent i's entry depends only
-    on the positions of i and its assigned anchor or base agents.
+    on the positions of i and its root or base agents.
     """
     if len(positions) != plan.graph.n:
         raise ValueError(f"expected {plan.graph.n} positions, got {len(positions)}")
-    pair_spec = PairPotentialSpec(df.d_star)
-    out: list[PlanarVector] = []
-    for asg in plan.assignments:
-        if asg.kind == KIND_STATIONARY:
-            out.append(PlanarVector(0.0, 0.0))
-        elif asg.kind == KIND_PAIR:
-            g = pair_gradient(
-                pair_spec, positions[asg.anchor - 1], positions[asg.agent - 1], wrt="j"
-            )
-            out.append(PlanarVector(-(kappa * g.dx), -(kappa * g.dy)))
-        else:
-            spec = TrianglePotentialSpec(
-                d_star=df.d_star, z_star=df.z_star(asg.clique_index), k_gain=k_gain
-            )
-            g = triangle_gradient(
-                spec,
-                positions[asg.base1 - 1],
-                positions[asg.base2 - 1],
-                positions[asg.agent - 1],
-                wrt="k",
-            )
-            out.append(PlanarVector(-(kappa * g.dx), -(kappa * g.dy)))
+    out = [PlanarVector(0.0, 0.0)] * plan.graph.n
+    g = pair_gradient(
+        PairPotentialSpec(df.d_star), positions[plan.root - 1], positions[plan.pair - 1], wrt="j"
+    )
+    out[plan.pair - 1] = PlanarVector(-(kappa * g.dx), -(kappa * g.dy))
+    for t in plan.triangles:
+        spec = TrianglePotentialSpec(
+            d_star=df.d_star, z_star=df.z_star(t.clique_index), k_gain=k_gain
+        )
+        corners = (positions[t.base1 - 1], positions[t.base2 - 1], positions[t.agent - 1])
+        g = triangle_gradient(spec, *corners, wrt="k")
+        out[t.agent - 1] = PlanarVector(-(kappa * g.dx), -(kappa * g.dy))
     return out
 
 
@@ -224,22 +185,15 @@ def total_potential(
     *,
     k_gain: float,
 ) -> float:
-    """Sum of every agent's assigned potential at the given positions."""
+    """Sum of every agent's assigned potential at the given positions, in processing order."""
     pair_spec = PairPotentialSpec(df.d_star)
-    total = 0.0
-    for asg in plan.assignments:
-        if asg.kind == KIND_PAIR:
-            total += pair_potential(pair_spec, positions[asg.anchor - 1], positions[asg.agent - 1])
-        elif asg.kind == KIND_TRIANGLE:
-            spec = TrianglePotentialSpec(
-                d_star=df.d_star, z_star=df.z_star(asg.clique_index), k_gain=k_gain
-            )
-            total += triangle_potential(
-                spec,
-                positions[asg.base1 - 1],
-                positions[asg.base2 - 1],
-                positions[asg.agent - 1],
-            )
+    total = pair_potential(pair_spec, positions[plan.root - 1], positions[plan.pair - 1])
+    for t in plan.triangles:
+        spec = TrianglePotentialSpec(
+            d_star=df.d_star, z_star=df.z_star(t.clique_index), k_gain=k_gain
+        )
+        corners = (positions[t.base1 - 1], positions[t.base2 - 1], positions[t.agent - 1])
+        total += triangle_potential(spec, *corners)
     return total
 
 
@@ -251,23 +205,16 @@ def target_positions(plan: HierarchyPlan, df: DesiredFormation) -> list[Position
     demands.  Any rigid motion of the result is an equally valid target.
     """
     sqrt3_half = 0.5 * SQRT3
-    pts: dict[int, tuple[float, float]] = {}
-    for agent in plan.processing_order:
-        asg = plan.assignment_for(agent)
-        if asg.kind == KIND_STATIONARY:
-            pts[agent] = (0.0, 0.0)
-        elif asg.kind == KIND_PAIR:
-            ax, ay = pts[asg.anchor]
-            pts[agent] = (ax + df.d_star, ay)
-        else:
-            sign = df.z_star_signs[asg.clique_index]
-            b1x, b1y = pts[asg.base1]
-            b2x, b2y = pts[asg.base2]
-            bx, by = b2x - b1x, b2y - b1y
-            pts[agent] = (
-                0.5 * (b1x + b2x) + sign * sqrt3_half * (-by),
-                0.5 * (b1y + b2y) + sign * sqrt3_half * bx,
-            )
+    pts = {plan.root: (0.0, 0.0), plan.pair: (df.d_star, 0.0)}
+    for t in plan.triangles:
+        sign = df.z_star_signs[t.clique_index]
+        b1x, b1y = pts[t.base1]
+        b2x, b2y = pts[t.base2]
+        bx, by = b2x - b1x, b2y - b1y
+        pts[t.agent] = (
+            0.5 * (b1x + b2x) + sign * sqrt3_half * (-by),
+            0.5 * (b1y + b2y) + sign * sqrt3_half * bx,
+        )
     return [Position(*pts[a]) for a in range(1, plan.graph.n + 1)]
 
 
@@ -297,27 +244,22 @@ def compile_field(
     and plans of one shape share one compiled code object.
     """
     d2 = df.d_star * df.d_star
-    pair_ops: list[tuple[int, int]] = []
-    tri_ops: list[tuple[int, int, int, float]] = []
-    for asg in plan.assignments:
-        m = 2 * (asg.agent - 1)
-        if asg.kind == KIND_PAIR:
-            pair_ops.append((m, 2 * (asg.anchor - 1)))
-        elif asg.kind == KIND_TRIANGLE:
-            tri_ops.append(
-                (m, 2 * (asg.base1 - 1), 2 * (asg.base2 - 1), df.z_star(asg.clique_index))
-            )
+    pair_op = (2 * (plan.pair - 1), 2 * (plan.root - 1))
+    tri_ops = [
+        (2 * (t.agent - 1), 2 * (t.base1 - 1), 2 * (t.base2 - 1), df.z_star(t.clique_index))
+        for t in plan.triangles
+    ]
     n = plan.graph.n
     if uses_array_kernel(n):
-        return _array_field(pair_ops, tri_ops, d2, k_gain, kappa)
-    root = 2 * (plan.processing_order[0] - 1)
+        return _array_field(pair_op, tri_ops, d2, k_gain, kappa)
+    pair, root = pair_op
     lines = [
         "def field(p, out):",
         "    " + "".join(f"x{m}, y{m}, " for m in range(0, 2 * n, 2)) + "= p",
         f"    out[{root}] = 0.0",
         f"    out[{root} + 1] = 0.0",
+        _PAIR_OP.format(m=pair, a=root),
     ]
-    lines += [_PAIR_OP.format(m=m, a=a) for m, a in pair_ops]
     env = {"d2": d2, "kg": k_gain, "kap": kappa}
     for k, (m, f, s, z_star) in enumerate(tri_ops):
         env[f"z_star{k}"] = z_star
@@ -354,7 +296,7 @@ _TRIANGLE_OP = """
 
 
 def _array_field(
-    pair_ops: list[tuple[int, int]],
+    pair_op: tuple[int, int],
     tri_ops: list[tuple[int, int, int, float]],
     d2: float,
     kg: float,
@@ -368,7 +310,7 @@ def _array_field(
     scalar kernel repeats in the same order, so every entry matches it bit for
     bit.
     ``-(kap * g)`` is computed as ``(-kap) * g``, which rounds identically.
-    The plan's single pair agent keeps the scalar loop.
+    The plan's single pair agent stays scalar.
     """
     # Rows: x and y offsets of every triangle's agent, first base, second base.
     gather = np.array(
@@ -377,15 +319,15 @@ def _array_field(
     tm, tm1 = gather[0], gather[1]
     z_star = np.array([op[3] for op in tri_ops], dtype=float)
     neg_kap = -kap
+    m, a = pair_op
 
     def field(p: np.ndarray, out: np.ndarray) -> None:
         out.fill(0.0)
-        for m, a in pair_ops:
-            ex = p[m] - p[a]
-            ey = p[m + 1] - p[a + 1]
-            err = (ex * ex + ey * ey) - d2
-            out[m] = -(kap * (err * ex))
-            out[m + 1] = -(kap * (err * ey))
+        ex = p[m] - p[a]
+        ey = p[m + 1] - p[a + 1]
+        err = (ex * ex + ey * ey) - d2
+        out[m] = -(kap * (err * ex))
+        out[m + 1] = -(kap * (err * ey))
         mx, my, fx, fy, sx, sy = p.take(gather)
         gx, gy = _corner_gradient(d2, kg, z_star, fx, fy, sx, sy, mx, my)
         out[tm] = neg_kap * gx

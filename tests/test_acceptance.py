@@ -288,7 +288,7 @@ def test_criterion_6_property_suites():
         assert max(math.hypot(a.dx - b.dx, a.dy - b.dy) for a, b in zip(rot, u2)) <= 1e-9 * scale
 
     # layer causality: higher layers never influence lower ones, bit for bit
-    layer = {a.agent: a.layer for a in plan10.assignments}
+    layer = {agent: k for k, agents in plan10.layers().items() for agent in agents}
     pts = [Position(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(10)]
     base = control_field(plan10, df10, pts, k_gain=20.0)
     for moved_agent in range(1, 11):

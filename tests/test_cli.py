@@ -259,9 +259,29 @@ def test_simulate_seeded_runs_are_deterministic(tmp_path):
     assert (tmp_path / "a" / "metrics.csv").read_bytes() != (tmp_path / "c" / "metrics.csv").read_bytes()
 
 
-def test_simulate_labels_flipped_terminal_point(tmp_path):
+# (root edge, clique sign, gain) of the flip start's runs
+FLIP_LABEL_CASES = [
+    *((root, sign, 0.6) for root in ((1, 2), (2, 1), (1, 3), (3, 2)) for sign in (1, -1)),
+    ((1, 2), -1, 20.0),
+    ((1, 3), -1, 20.0),
+]
+
+
+@pytest.mark.parametrize(
+    "root_edge, sign, k_gain",
+    FLIP_LABEL_CASES,
+    ids=[f"root{a}{b}-sign{s:+d}-k{k}" for (a, b), s, k in FLIP_LABEL_CASES],
+)
+def test_simulate_labels_flipped_terminal_point(tmp_path, root_edge, sign, k_gain):
+    # The label is taken in the frame of the plan's triangle: its agent is the
+    # apex, and its base is ordered so that the clique's target lies above it.
+    # From this start the bistable gain traps the apex on the wrong side of
+    # its base, whichever agent that is; with the target mirrored (sign -1)
+    # the same start reaches the target.
     cfg = triangle_config(
-        k_gain=0.6,
+        k_gain=k_gain,
+        root_edge=root_edge,
+        z_star_signs=(sign,),
         initial=InitialSpec(positions=((-1.0, 0.0), (1.0, 0.0), (0.0, -2.0))),
     )
     cfg_path = tmp_path / "flip.json"
@@ -270,8 +290,10 @@ def test_simulate_labels_flipped_terminal_point(tmp_path):
     assert run_cli("simulate", "--config", cfg_path, "--out-dir", out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     label = manifest["terminal_equilibrium"]
-    assert label["matched"] == "below-axis"
-    assert label["in_target_set"] is False
+    flipped = sign == 1 and k_gain < 1.0
+    assert label["matched"] == ("below-axis" if flipped else "apex-correct")
+    assert label["in_target_set"] is not flipped
+    assert manifest["final_max_area_err"] > 1.0 if flipped else manifest["final_max_area_err"] < 1e-9
 
 
 # case: (d_star, start, terminal_equilibrium); each run converges at step 0.
@@ -834,7 +856,7 @@ def test_traced_simulate_computes_formation_errors_once_per_run(tmp_path):
     errors = [sp for sp in tr.spans if sp.name == "graph.formation_errors"]
     assert len(sims) == 3 and sims[0].attrs["samples"] > 1
     assert sorted(sp.parent for sp in errors if sp.parent is not None) == [sp.sid for sp in sims]
-    assert len(errors) == 4  # plus the CLI's own call on the final state
+    assert len(errors) == 3  # the CLI reads its final errors from the run's metrics
     assert all(hasattr(mod, attr) for mod, attr, _ in tracer.CALL_SITES)
 
 

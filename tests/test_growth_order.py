@@ -18,7 +18,7 @@ from triform import (
     validate_triangulated_laman,
 )
 from triform.graph import growth_order
-from triform.hierarchy import KIND_PAIR, KIND_STATIONARY, KIND_TRIANGLE, PotentialAssignment
+from triform.hierarchy import TriangleAssignment
 
 from conftest import grow_henneberg
 
@@ -59,7 +59,7 @@ def rescan_validation(graph):
 
 
 def rescan_plan(graph, root, anchor):
-    """Reference (processing order, assignments), or the HierarchyError text."""
+    """Reference (root, pair agent, triangles), or the HierarchyError text."""
     ok, _, violation = rescan_validation(graph)
     if not ok:
         return f"graph is not triangulated-constructible: {violation}"
@@ -79,10 +79,7 @@ def rescan_plan(graph, root, anchor):
             hops[v] = hops[u] + 1
             queue.append(v)
     layer = {root: 1, anchor: 2}
-    out = {
-        root: PotentialAssignment(agent=root, kind=KIND_STATIONARY, layer=1),
-        anchor: PotentialAssignment(agent=anchor, kind=KIND_PAIR, layer=2, anchor=root),
-    }
+    triangles = []
     for i, agent in enumerate(order[2:], start=2):
         earlier = set(order[:i])
         pairs = [(a, b) for a, b in combinations(sorted(adj[agent] & earlier), 2) if b in adj[a]]
@@ -92,11 +89,8 @@ def rescan_plan(graph, root, anchor):
         j = c.index(agent)
         base1, base2 = c[(j + 1) % 3], c[(j + 2) % 3]  # cyclic rotation keeps the sign
         layer[agent] = max(2 + hops[agent], layer[base1], layer[base2])
-        out[agent] = PotentialAssignment(
-            agent=agent, kind=KIND_TRIANGLE, layer=layer[agent],
-            base1=base1, base2=base2, clique_index=ci,
-        )
-    return tuple(order), tuple(out[a] for a in range(1, graph.n + 1))
+        triangles.append(TriangleAssignment(agent, base1, base2, ci, layer[agent]))
+    return root, anchor, tuple(triangles)
 
 
 def relabelled_graph(rng, n, edges):
@@ -168,7 +162,7 @@ def test_hierarchy_build_matches_rescan():
                 assert str(exc) == expected
                 errors.add(str(exc).split(" ", 1)[0])
                 continue
-            assert (plan.processing_order, plan.assignments) == expected
+            assert (plan.root, plan.pair, plan.triangles) == expected
     assert errors == {"graph", "agent"}  # both rejection paths were exercised
 
 
@@ -177,7 +171,7 @@ def test_example_plans_match_rescan_from_every_root():
     for u, v in sorted(graph.edges):
         for root in ((u, v), (v, u)):
             plan = build_hierarchy(graph, root)
-            assert (plan.processing_order, plan.assignments) == rescan_plan(graph, *root)
+            assert (plan.root, plan.pair, plan.triangles) == rescan_plan(graph, *root)
 
 
 def test_large_relabelled_graph_builds_in_dependency_order():
@@ -188,7 +182,7 @@ def test_large_relabelled_graph_builds_in_dependency_order():
     root = next(random_roots(rng, graph, 1))
     plan = build_hierarchy(graph, root)
     assert sorted(plan.processing_order) == list(range(1, n + 1))
-    placed = set()
-    for agent in plan.processing_order:
-        assert set(plan.assignment_for(agent).dependencies()) <= placed
-        placed.add(agent)
+    placed = {plan.root, plan.pair}
+    for t in plan.triangles:
+        assert {t.base1, t.base2} <= placed
+        placed.add(t.agent)

@@ -16,7 +16,7 @@ from triform import (
     total_potential,
 )
 from triform import hierarchy
-from triform.hierarchy import KIND_PAIR, KIND_STATIONARY, KIND_TRIANGLE, compile_field
+from triform.hierarchy import compile_field
 from triform.potentials import _corner_gradient
 
 from conftest import grow_henneberg, grown_formation
@@ -42,9 +42,7 @@ def example_setup(d_star=2.0):
 
 def test_example_plan_reproduces_published_assignment_table():
     _, _, plan = example_setup()
-    asg = {a.agent: a for a in plan.assignments}
-    assert asg[1].kind == KIND_STATIONARY and asg[1].layer == 1
-    assert asg[2].kind == KIND_PAIR and asg[2].anchor == 1 and asg[2].layer == 2
+    assert (plan.root, plan.pair) == (1, 2)
     expected_bases = {
         3: (1, 2),
         5: (3, 2),
@@ -55,9 +53,7 @@ def test_example_plan_reproduces_published_assignment_table():
         7: (8, 4),
         10: (6, 9),
     }
-    for agent, bases in expected_bases.items():
-        assert asg[agent].kind == KIND_TRIANGLE
-        assert (asg[agent].base1, asg[agent].base2) == bases
+    assert {t.agent: (t.base1, t.base2) for t in plan.triangles} == expected_bases
     layers = plan.layers()
     assert set(layers[1]) == {1}
     assert set(layers[2]) == {2}
@@ -66,15 +62,19 @@ def test_example_plan_reproduces_published_assignment_table():
     assert set(layers[5]) == {7, 8, 9, 10}
 
 
+def assert_dependency_order(plan):
+    """Every triangle's bases come before it; every agent appears exactly once."""
+    seen = {plan.root, plan.pair}
+    for t in plan.triangles:
+        assert {t.base1, t.base2} <= seen, f"agent {t.agent} processed before its bases"
+        seen.add(t.agent)
+    assert sorted(plan.processing_order) == list(range(1, plan.graph.n + 1))
+
+
 def test_plan_processing_order_respects_dependencies():
     _, _, plan = example_setup()
-    seen = set()
-    for agent in plan.processing_order:
-        asg = plan.assignment_for(agent)
-        for dep in asg.dependencies():
-            assert dep in seen, f"agent {agent} processed before its base {dep}"
-        seen.add(agent)
-    assert len(seen) == plan.graph.n
+    assert_dependency_order(plan)
+    assert plan.processing_order == (1, 2, 3, 5, 4, 6, 8, 7, 9, 10)
 
 
 def test_plan_is_deterministic():
@@ -85,17 +85,16 @@ def test_plan_is_deterministic():
 
 def test_single_triangle_plan():
     _, _, plan = triangle_setup()
-    asg3 = plan.assignment_for(3)
-    assert asg3.kind == KIND_TRIANGLE
-    assert {asg3.base1, asg3.base2} == {1, 2}
-    assert (asg3.base1, asg3.base2, 3) == (1, 2, 3)  # stored orientation kept
+    (t,) = plan.triangles
+    assert (plan.root, plan.pair) == (1, 2)
+    assert (t.base1, t.base2, t.agent) == (1, 2, 3)  # stored orientation kept
 
 
 def test_pair_graph_plan():
     g = FormationGraph(2, [(1, 2)], [])
     plan = build_hierarchy(g, (1, 2))
-    assert plan.assignment_for(1).kind == KIND_STATIONARY
-    assert plan.assignment_for(2).kind == KIND_PAIR
+    assert (plan.root, plan.pair, plan.triangles) == (1, 2, ())
+    assert plan.layers() == {1: (1,), 2: (2,)}
 
 
 def test_four_cycle_rejected():
@@ -117,12 +116,8 @@ def test_random_growth_plans_from_any_root(rng):
         g = FormationGraph(n, edges, cliques)
         root = sorted(g.edges)[rng.randrange(len(g.edges))]
         plan = build_hierarchy(g, root)
-        assert len(plan.assignments) == n
-        seen = set()
-        for agent in plan.processing_order:
-            for dep in plan.assignment_for(agent).dependencies():
-                assert dep in seen
-            seen.add(agent)
+        assert (plan.root, plan.pair) == root
+        assert_dependency_order(plan)
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +157,10 @@ def test_control_field_dependency_sparsity(rng):
     # moving one agent changes exactly the inputs of the agents that list it
     g, df, plan = example_setup()
     dependents = {a: set() for a in range(1, 11)}
-    for asg in plan.assignments:
-        for dep in asg.dependencies():
-            dependents[dep].add(asg.agent)
+    dependents[plan.root].add(plan.pair)
+    for t in plan.triangles:
+        dependents[t.base1].add(t.agent)
+        dependents[t.base2].add(t.agent)
     pts = target_positions(plan, df)
     base = control_field(plan, df, pts, k_gain=20.0)
     for moved in range(1, 11):
@@ -185,7 +181,7 @@ def test_control_field_layer_causality(rng):
     g, df, plan = example_setup()
     pts = [Position(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(10)]
     base = control_field(plan, df, pts, k_gain=20.0)
-    layer = {a.agent: a.layer for a in plan.assignments}
+    layer = {agent: k for k, agents in plan.layers().items() for agent in agents}
     for moved in range(1, 11):
         trial = list(pts)
         trial[moved - 1] = Position(rng.uniform(-5, 5), rng.uniform(-5, 5))
@@ -280,21 +276,16 @@ def test_compiled_field_keeps_infinite_targets(rng, setup):
     for _ in range(20):
         pts = [Position(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(n)]
         fast([c for p in pts for c in (p.x, p.y)], out)
-        want = []
-        for asg in plan.assignments:
-            q = pts[asg.agent - 1]
-            if asg.kind == KIND_STATIONARY:
-                want += [0.0, 0.0]
-                continue
-            if asg.kind == KIND_PAIR:
-                ex, ey = q.x - pts[asg.anchor - 1].x, q.y - pts[asg.anchor - 1].y
-                err = (ex * ex + ey * ey) - d2
-                gx, gy = err * ex, err * ey
-            else:
-                f, s = pts[asg.base1 - 1], pts[asg.base2 - 1]
-                z_star = df.z_star(asg.clique_index)
-                gx, gy = _corner_gradient(d2, 20.0, z_star, f.x, f.y, s.x, s.y, q.x, q.y)
-            want += [-(kappa * gx), -(kappa * gy)]
+        want = [0.0] * (2 * n)  # the stationary agent's entries stay 0.0
+        q, r = pts[plan.pair - 1], pts[plan.root - 1]
+        ex, ey = q.x - r.x, q.y - r.y
+        err = (ex * ex + ey * ey) - d2
+        want[2 * plan.pair - 2 : 2 * plan.pair] = [-(kappa * (err * ex)), -(kappa * (err * ey))]
+        for t in plan.triangles:
+            q, f, s = pts[t.agent - 1], pts[t.base1 - 1], pts[t.base2 - 1]
+            z_star = df.z_star(t.clique_index)
+            gx, gy = _corner_gradient(d2, 20.0, z_star, f.x, f.y, s.x, s.y, q.x, q.y)
+            want[2 * t.agent - 2 : 2 * t.agent] = [-(kappa * gx), -(kappa * gy)]
         assert np.array(out).tobytes() == np.array(want).tobytes()  # NaN signs too
         values += want
     assert math.isinf(d2) and {"inf", "-inf", "nan"} <= set(map(str, values))
