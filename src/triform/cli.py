@@ -1,8 +1,8 @@
 """Command-line front end: simulate, analyze, basin, sweep-gain.
 
-Every run writes a manifest.json naming the termination reason, even when the
-configuration or the command line is rejected.  Exit codes: 0 converged/ok,
-2 timeout, 3 diverged, 64 configuration or usage error.
+``main`` writes every run's manifest.json naming the termination reason, even
+when the configuration or the command line is rejected.  Exit codes:
+0 converged/ok, 2 timeout, 3 diverged, 64 configuration or usage error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -67,16 +67,17 @@ _MAX_GAINS = 10_000  # --k-range enumerates at most this many gains
 _MAX_CELLS = 1_000_000  # --grid holds at most this many cells
 _VERSIONS = {"triform": __version__, "python": platform.python_version(), "numpy": np.__version__}
 
-
-def _fmt(value: Any) -> str:
-    return "" if value is None else str(value)
+# A command checks its inputs and returns its run: called with the created
+# output directory, it writes the outputs and returns (exit code, manifest fields).
+Run = Callable[[Path], tuple[int, dict[str, Any]]]
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """Write one CSV; None is written as an empty field."""
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(map(_fmt, row)) + "\n")
+            f.write(",".join("" if v is None else str(v) for v in row) + "\n")
 
 
 def _write_trajectory(out_dir: Path, traj: Trajectory) -> None:
@@ -104,20 +105,11 @@ def _finite_or_none(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _write_manifest(out_dir: Path, command: str, started: float, **payload: Any) -> None:
+def _write_manifest(out_dir: Path, command: str | None, started: float, **payload: Any) -> None:
     """Write manifest.json: the command, its fields, versions and the wall time, as strict JSON."""
     payload.update(command=command, versions=_VERSIONS, wall_time_s=time.perf_counter() - started)
-    out_dir.mkdir(parents=True, exist_ok=True)
     text = json.dumps(payload, sort_keys=True, allow_nan=False)
     (out_dir / "manifest.json").write_text(text + "\n")
-
-
-def _config_error(args: argparse.Namespace, started: float, exc: Exception) -> int:
-    _write_manifest(
-        Path(args.out_dir), args.command, started, termination_reason="config-error", error=str(exc)
-    )
-    print(f"config error: {exc}", file=sys.stderr)
-    return EXIT_CONFIG
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -137,68 +129,61 @@ def _parse_k_range(text: str) -> list[float]:
         raise ConfigError("--k-range", f"need step > 0 and 0 < start <= stop < inf, got {text!r}")
     out = []
     k = start
-    while k <= stop + 1e-12:
+    # Slack and rounding are relative: an absolute 1e-12 would round gains
+    # below it to 0 and let them run past STOP.
+    while k <= stop * (1 + 1e-12):
         if len(out) == _MAX_GAINS:  # also stops a step too small to advance k
             raise ConfigError("--k-range", f"more than {_MAX_GAINS} gains in {text!r}")
-        out.append(round(k, 12))
+        out.append(float(f"{k:.12g}"))
         k += step
     return out
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    started = time.perf_counter()
-    try:
-        config = load_scenario(args.config)
-        if args.k is not None:
-            config = replace(config, k_gain=args.k)
-        integ = config.integrator
-        if args.dt is not None:
-            integ = replace(integ, dt=args.dt)
-        if args.t_max is not None:
-            integ = replace(integ, t_max=args.t_max)
-        config = replace(config, integrator=integ)
-        if args.seed is not None:
-            if config.initial.box is None:
-                raise ConfigError("--seed", "the scenario has no random box to reseed")
-            config = replace(
-                config, initial=InitialSpec(seed=args.seed, box=config.initial.box)
-            )
-        scenario = resolve(config)
-    except (ConfigError, ValueError) as exc:
-        return _config_error(args, started, exc)
+def cmd_simulate(args: argparse.Namespace) -> Run:
+    config = load_scenario(args.config)
+    if args.k is not None:
+        config = replace(config, k_gain=args.k)
+    integ = config.integrator
+    if args.dt is not None:
+        integ = replace(integ, dt=args.dt)
+    if args.t_max is not None:
+        integ = replace(integ, t_max=args.t_max)
+    config = replace(config, integrator=integ)
+    if args.seed is not None:
+        if config.initial.box is None:
+            raise ConfigError("--seed", "the scenario has no random box to reseed")
+        config = replace(config, initial=InitialSpec(seed=args.seed, box=config.initial.box))
+    scenario = resolve(config)
 
-    result = simulate(
-        scenario.plan,
-        scenario.formation,
-        scenario.initial_positions,
-        scenario.config.integrator,
-        k_gain=scenario.config.k_gain,
-        kappa=scenario.config.kappa,
-    )
-    traj = result.trajectory
-    n = scenario.plan.graph.n
+    def run(out_dir: Path) -> tuple[int, dict[str, Any]]:
+        result = simulate(
+            scenario.plan,
+            scenario.formation,
+            scenario.initial_positions,
+            scenario.config.integrator,
+            k_gain=scenario.config.k_gain,
+            kappa=scenario.config.kappa,
+        )
+        traj = result.trajectory
+        _write_trajectory(out_dir, traj)
+        dist_err, area_err = traj.metrics[-1, :2].tolist()
+        manifest: dict[str, Any] = {
+            "config": config_to_dict(scenario.config),
+            "termination_reason": result.reason,
+            "t_final": result.t_final,
+            "steps": result.steps,
+            "final_max_dist_err": _finite_or_none(dist_err),
+            "final_max_area_err": _finite_or_none(area_err),
+            "outputs": ["trajectory.csv", "metrics.csv"],
+        }
+        if result.diverged_at is not None:
+            manifest["diverged_at"] = result.diverged_at
+        if scenario.plan.graph.n == 3 and result.reason == CONVERGED:
+            manifest["terminal_equilibrium"] = _terminal_equilibrium(scenario, result.final_positions())
+        print(f"{result.reason}: t={result.t_final:.3f} max_dist_err={dist_err:.3e} max_area_err={area_err:.3e}")
+        return _REASON_EXIT[result.reason], manifest
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_trajectory(out_dir, traj)
-
-    dist_err, area_err = traj.metrics[-1, :2].tolist()
-    manifest: dict[str, Any] = {
-        "config": config_to_dict(scenario.config),
-        "termination_reason": result.reason,
-        "t_final": result.t_final,
-        "steps": result.steps,
-        "final_max_dist_err": _finite_or_none(dist_err),
-        "final_max_area_err": _finite_or_none(area_err),
-        "outputs": ["trajectory.csv", "metrics.csv"],
-    }
-    if result.diverged_at is not None:
-        manifest["diverged_at"] = result.diverged_at
-    if n == 3 and result.reason == CONVERGED:
-        manifest["terminal_equilibrium"] = _terminal_equilibrium(scenario, result.final_positions())
-    _write_manifest(out_dir, "simulate", started, **manifest)
-    print(f"{result.reason}: t={result.t_final:.3f} max_dist_err={dist_err:.3e} max_area_err={area_err:.3e}")
-    return _REASON_EXIT[result.reason]
+    return run
 
 
 def _terminal_equilibrium(scenario, final: list[Position]) -> dict[str, Any]:
@@ -231,67 +216,56 @@ def _terminal_equilibrium(scenario, final: list[Position]) -> dict[str, Any]:
     }
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    started = time.perf_counter()
-    try:
-        gains: list[float] = list(args.k or [])
-        if args.k_range:
-            gains.extend(_parse_k_range(args.k_range))
-        if args.exact_boundary:
-            gains.append(K_LOW)
-        if not gains:
-            raise ConfigError("--k", "need at least one gain (--k, --k-range or --exact-boundary)")
-        if args.a <= 0:
-            raise ConfigError("--a", f"must be positive, got {args.a}")
-        catalogue = [(k, classify_gain(k), enumerate_triangle_equilibria(args.a, k)) for k in gains]
-    except (ConfigError, ValueError) as exc:
-        return _config_error(args, started, exc)
+def cmd_analyze(args: argparse.Namespace) -> Run:
+    gains: list[float] = list(args.k or [])
+    if args.k_range:
+        gains.extend(_parse_k_range(args.k_range))
+    if args.exact_boundary:
+        gains.append(K_LOW)
+    if not gains:
+        raise ConfigError("--k", "need at least one gain (--k, --k-range or --exact-boundary)")
+    if args.a <= 0:
+        raise ConfigError("--a", f"must be positive, got {args.a}")
+    catalogue = [(k, classify_gain(k), enumerate_triangle_equilibria(args.a, k)) for k in gains]
 
-    rows = []
-    summary_rows = []
-    for k, regime, eqs in catalogue:
-        stable = sum(1 for e in eqs if e.stability == STABLE)
-        summary_rows.append([k, regime.regime, int(regime.at_boundary), len(eqs), stable])
-        for eq in eqs:
-            lam2 = eq.eigenvalues[1] if len(eq.eigenvalues) > 1 else None
-            rows.append(
-                [
-                    k,
-                    regime.regime,
-                    int(regime.at_boundary),
-                    eq.family,
-                    eq.position.x,
-                    eq.position.y,
-                    eq.eigenvalues[0],
-                    lam2,
-                    eq.stability,
-                    eq.note,
-                ]
-            )
-        print(f"K={k!r}: regime={regime.regime} equilibria={len(eqs)} stable={stable}")
+    def run(out_dir: Path) -> tuple[int, dict[str, Any]]:
+        rows = []
+        summary_rows = []
+        for k, regime, eqs in catalogue:
+            stable = sum(1 for e in eqs if e.stability == STABLE)
+            summary_rows.append([k, regime.regime, int(regime.at_boundary), len(eqs), stable])
+            for eq in eqs:
+                lam2 = eq.eigenvalues[1] if len(eq.eigenvalues) > 1 else None
+                rows.append(
+                    [
+                        k,
+                        regime.regime,
+                        int(regime.at_boundary),
+                        eq.family,
+                        eq.position.x,
+                        eq.position.y,
+                        eq.eigenvalues[0],
+                        lam2,
+                        eq.stability,
+                        eq.note,
+                    ]
+                )
+            print(f"K={k!r}: regime={regime.regime} equilibria={len(eqs)} stable={stable}")
+        _write_csv(
+            out_dir / "equilibria.csv",
+            ["k_gain", "regime", "at_boundary", "family", "x", "y", "lambda1", "lambda2", "stability", "note"],
+            rows,
+        )
+        _write_csv(
+            out_dir / "summary.csv",
+            ["k_gain", "regime", "at_boundary", "n_equilibria", "n_stable"],
+            summary_rows,
+        )
+        return EXIT_OK, dict(
+            a=args.a, gains=gains, termination_reason="ok", outputs=["equilibria.csv", "summary.csv"]
+        )
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out_dir / "equilibria.csv",
-        ["k_gain", "regime", "at_boundary", "family", "x", "y", "lambda1", "lambda2", "stability", "note"],
-        rows,
-    )
-    _write_csv(
-        out_dir / "summary.csv",
-        ["k_gain", "regime", "at_boundary", "n_equilibria", "n_stable"],
-        summary_rows,
-    )
-    _write_manifest(
-        out_dir,
-        "analyze",
-        started,
-        a=args.a,
-        gains=gains,
-        termination_reason="ok",
-        outputs=["equilibria.csv", "summary.csv"],
-    )
-    return EXIT_OK
+    return run
 
 
 def _basin_setup(args: argparse.Namespace, gains: list[float]):
@@ -326,71 +300,51 @@ def _run_basin(
     return cells, (correct / len(cells) if cells else None)
 
 
-def cmd_basin(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    started = time.perf_counter()
-    try:
-        if not args.k > 0:
-            raise ConfigError("--k", f"need a positive gain, got {args.k}")
-        scenario, grid, cfg, (equilibria,) = _basin_setup(args, [args.k])
-    except (ConfigError, ValueError) as exc:
-        return _config_error(args, started, exc)
+def cmd_basin(args: argparse.Namespace) -> Run:
+    if not args.k > 0:
+        raise ConfigError("--k", f"need a positive gain, got {args.k}")
+    scenario, grid, cfg, (equilibria,) = _basin_setup(args, [args.k])
 
-    cells, fraction = _run_basin(scenario, args.k, equilibria, grid, cfg, args.jobs)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "basin.csv", [f.name for f in fields(BasinCell)], map(astuple, cells))
-    _write_manifest(
-        out_dir,
-        "basin",
-        started,
-        k_gain=args.k,
-        d_star=args.d_star,
-        grid=[grid.nx, grid.ny, grid.xmin, grid.xmax, grid.ymin, grid.ymax],
-        cells=len(cells),
-        fraction_correct=fraction,
-        termination_reason="ok",
-        outputs=["basin.csv"],
-    )
-    print(f"fraction_correct={fraction!r}")
-    return EXIT_OK
-
-
-def cmd_sweep_gain(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    started = time.perf_counter()
-    try:
-        gains = _parse_k_range(args.k_range)
-        scenario, grid, cfg, catalogues = _basin_setup(args, gains)
-    except (ConfigError, ValueError) as exc:
-        return _config_error(args, started, exc)
-
-    rows = []
-    for k, eqs in zip(gains, catalogues):
-        regime = classify_gain(k).regime
-        stable = sum(1 for e in eqs if e.stability == STABLE)
-        _, fraction = _run_basin(scenario, k, eqs, grid, cfg, args.jobs)
-        rows.append([k, regime, len(eqs), stable, fraction])
-        print(
-            f"K={k!r}: regime={regime} equilibria={len(eqs)} stable={stable} "
-            f"fraction_correct={fraction!r}"
+    def run(out_dir: Path) -> tuple[int, dict[str, Any]]:
+        cells, fraction = _run_basin(scenario, args.k, equilibria, grid, cfg, args.jobs)
+        _write_csv(out_dir / "basin.csv", [f.name for f in fields(BasinCell)], map(astuple, cells))
+        print(f"fraction_correct={fraction!r}")
+        return EXIT_OK, dict(
+            k_gain=args.k,
+            d_star=args.d_star,
+            grid=[grid.nx, grid.ny, grid.xmin, grid.xmax, grid.ymin, grid.ymax],
+            cells=len(cells),
+            fraction_correct=fraction,
+            termination_reason="ok",
+            outputs=["basin.csv"],
         )
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out_dir / "sweep.csv",
-        ["k_gain", "regime", "n_equilibria", "n_stable", "fraction_correct"],
-        rows,
-    )
-    _write_manifest(
-        out_dir,
-        "sweep-gain",
-        started,
-        d_star=args.d_star,
-        gains=gains,
-        termination_reason="ok",
-        outputs=["sweep.csv"],
-    )
-    return EXIT_OK
+    return run
+
+
+def cmd_sweep_gain(args: argparse.Namespace) -> Run:
+    gains = _parse_k_range(args.k_range)
+    scenario, grid, cfg, catalogues = _basin_setup(args, gains)
+
+    def run(out_dir: Path) -> tuple[int, dict[str, Any]]:
+        rows = []
+        for k, eqs in zip(gains, catalogues):
+            regime = classify_gain(k).regime
+            stable = sum(1 for e in eqs if e.stability == STABLE)
+            _, fraction = _run_basin(scenario, k, eqs, grid, cfg, args.jobs)
+            rows.append([k, regime, len(eqs), stable, fraction])
+            print(
+                f"K={k!r}: regime={regime} equilibria={len(eqs)} stable={stable} "
+                f"fraction_correct={fraction!r}"
+            )
+        _write_csv(
+            out_dir / "sweep.csv",
+            ["k_gain", "regime", "n_equilibria", "n_stable", "fraction_correct"],
+            rows,
+        )
+        return EXIT_OK, dict(d_star=args.d_star, gains=gains, termination_reason="ok", outputs=["sweep.csv"])
+
+    return run
 
 
 class _Parser(argparse.ArgumentParser):
@@ -458,23 +412,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command: write its outputs and manifest.json, return its exit code.
+
+    A usage error or an input that the command's checks reject exits 64 with
+    a config-error manifest.  Only parsing and those checks are caught: an
+    exception raised while the command runs propagates as a traceback.
+    """
     started = time.perf_counter()
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    out_dir = run = None
     try:
-        args = parser.parse_args(argv)
-    except ConfigError as exc:
-        # A usage error writes its manifest into the --out-dir the command
-        # line names, or the default one, under the command word it gives.
-        pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-        pre.add_argument("--out-dir", default="out")
-        try:
-            out_dir = pre.parse_known_args(argv)[0].out_dir
-        except argparse.ArgumentError:
-            out_dir = "out"
-        command = argv[0] if argv and not argv[0].startswith("-") else None
-        return _config_error(argparse.Namespace(out_dir=out_dir, command=command), started, exc)
-    return args.func(args)
+        args = build_parser().parse_args(argv)
+        command, out_dir = args.command, args.out_dir
+        run = args.func(args)
+    except ValueError as exc:  # ConfigError is a ValueError
+        print(f"config error: {exc}", file=sys.stderr)
+        code, payload = EXIT_CONFIG, {"termination_reason": "config-error", "error": str(exc)}
+        if out_dir is None:
+            # A usage error writes its manifest into the --out-dir the command
+            # line names, or the default one, under the command word it gives.
+            command = argv[0] if argv and not argv[0].startswith("-") else None
+            pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+            pre.add_argument("--out-dir", default="out")
+            try:
+                out_dir = pre.parse_known_args(argv)[0].out_dir
+            except argparse.ArgumentError:
+                out_dir = "out"
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if run is not None:
+        code, payload = run(out_dir)
+    _write_manifest(out_dir, command, started, **payload)
+    return code
 
 
 if __name__ == "__main__":

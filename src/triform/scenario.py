@@ -325,6 +325,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError("<document>", f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigError("<document>", "JSON nested too deeply") from exc
     except OSError as exc:
         raise ConfigError("<document>", f"cannot read {path}: {exc.strerror}") from exc
     return config_from_dict(doc)

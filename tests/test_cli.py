@@ -190,6 +190,18 @@ def test_simulate_rejects_malformed_document(tmp_path, case):
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
+def test_simulate_rejects_deeply_nested_document(tmp_path):
+    # json.loads raises RecursionError at this depth on every supported Python.
+    cfg_path = tmp_path / "deep.json"
+    cfg_path.write_text("[" * 100_000 + "]" * 100_000)
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--config", cfg_path, "--out-dir", out) == 64
+    manifest = strict_manifest(out)
+    assert manifest["termination_reason"] == "config-error"
+    assert manifest["error"] == "<document>: JSON nested too deeply"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 def test_agent_count_bounded_by_edges_before_graph_is_built():
     doc = valid_document()
     doc["graph"] = {"n": 10**12, "edges": [[1, 2]]}
@@ -578,6 +590,21 @@ def test_analyze_requires_a_gain(tmp_path):
     assert run_cli("analyze", "--out-dir", tmp_path / "rep") == 64
 
 
+@pytest.mark.parametrize(
+    "k_range, gains",
+    [
+        ("1e-13:1e-13:1e-14", [1e-13]),
+        ("1e-12:1e-12:1e-12", [1e-12]),
+        ("3e-12:3e-12:1e-13", [3e-12]),
+        ("2e-13:5e-13:1e-13", [2e-13, 3e-13, 4e-13, 5e-13]),
+    ],
+)
+def test_k_range_keeps_tiny_gains_and_stops_at_stop(tmp_path, k_range, gains):
+    out = tmp_path / "rep"
+    assert run_cli("analyze", "--k-range", k_range, "--out-dir", out) == 0
+    assert strict_manifest(out)["gains"] == gains
+
+
 # ---------------------------------------------------------------------------
 # basin command
 # ---------------------------------------------------------------------------
@@ -736,6 +763,25 @@ def test_rejected_inputs_write_a_config_error_manifest(tmp_path, argv, field):
     assert manifest["termination_reason"] == "config-error"
     assert field in manifest["error"]
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize(
+    "patched, argv",
+    [
+        ("simulate", ["simulate", "--config", SCENARIOS / "triangle-flip-k06.json"]),
+        ("probe_points", ["basin", "--k", 20.0, "--grid", "1x1"]),
+        ("probe_points", ["sweep-gain", "--k-range", "1:1:1", "--grid", "1x1"]),
+    ],
+)
+def test_fault_while_running_propagates_instead_of_a_config_error(tmp_path, monkeypatch, patched, argv):
+    def fault(*args, **kwargs):
+        raise ValueError("fault inside the run")
+
+    monkeypatch.setattr(triform.cli, patched, fault)
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match="fault inside the run"):
+        run_cli(*argv, "--out-dir", out)
+    assert not (out / "manifest.json").exists()
 
 
 def test_help_still_exits_zero(capsys):
