@@ -156,6 +156,7 @@ def cmd_simulate(args: argparse.Namespace) -> Run:
     scenario = resolve(config)
 
     def run(out_dir: Path) -> tuple[int, dict[str, Any]]:
+        started = time.perf_counter()
         result = simulate(
             scenario.plan,
             scenario.formation,
@@ -164,6 +165,7 @@ def cmd_simulate(args: argparse.Namespace) -> Run:
             k_gain=scenario.config.k_gain,
             kappa=scenario.config.kappa,
         )
+        seconds = time.perf_counter() - started
         traj = result.trajectory
         _write_trajectory(out_dir, traj)
         dist_err, area_err = traj.metrics[-1, :2].tolist()
@@ -172,6 +174,9 @@ def cmd_simulate(args: argparse.Namespace) -> Run:
             "termination_reason": result.reason,
             "t_final": result.t_final,
             "steps": result.steps,
+            # one field evaluation per stage of every step, and one at the final state
+            "field_evals": 1 + (4 if scenario.config.integrator.method == "rk4" else 1) * result.steps,
+            "steps_per_s": result.steps / seconds,
             "final_max_dist_err": _finite_or_none(dist_err),
             "final_max_area_err": _finite_or_none(area_err),
             "outputs": ["trajectory.csv", "metrics.csv"],

@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -148,6 +149,17 @@ class DesiredFormation:
     def z_star(self, clique_index: int) -> float:
         return self.z_star_signs[clique_index] * self.target_area
 
+    @cached_property
+    def _error_index(self) -> tuple[np.ndarray, ...]:
+        """The (0-based) agents of every edge and clique and the cliques' z_star, for formation_errors."""
+        u, v = (np.array(sorted(self.graph.edges), dtype=np.intp).reshape(-1, 2) - 1).T
+        i, j, k = (np.array(self.graph.cliques, dtype=np.intp).reshape(-1, 3) - 1).T
+        z_star = np.array([self.z_star(ci) for ci in range(len(i))])
+        index = (u, v, i, j, k, z_star)
+        for a in index:
+            a.flags.writeable = False  # every call shares them
+        return index
+
 
 def build_example_graph() -> FormationGraph:
     """The 10-agent benchmark graph: a six-triangle hexagon around agent 5
@@ -263,16 +275,14 @@ def formation_errors(
     if p.shape[-2:] != (n, 2):
         raise ValueError(f"expected {n} positions, got an array of shape {p.shape}")
     x, y = p[..., 0], p[..., 1]
-    u, v = (np.array(sorted(df.graph.edges), dtype=np.intp).reshape(-1, 2) - 1).T
+    u, v, i, j, k, z_star = df._error_index
     # distance(): sqrt(dx * dx + dy * dy) with dx = pu.x - pv.x
     dx = x[..., u] - x[..., v]
     dy = y[..., u] - y[..., v]
     dist = np.abs(np.sqrt(dx * dx + dy * dy) - df.d_star)
-    i, j, k = (np.array(df.graph.cliques, dtype=np.intp).reshape(-1, 3) - 1).T
     # signed_area(), operands in the same order
     xi, yi = x[..., i], y[..., i]
     z = 0.5 * ((x[..., j] - xi) * (y[..., k] - yi) - (x[..., k] - xi) * (y[..., j] - yi))
-    z_star = np.array([df.z_star(ci) for ci in range(len(i))])
     area = np.abs(z - z_star)
     # fmax skips NaN like the scalar ``e > worst`` test; max() would return it
     dist_err = np.fmax.reduce(dist, axis=-1, initial=0.0)

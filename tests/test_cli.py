@@ -853,10 +853,12 @@ def test_tracer_call_sites_resolve():
     ids=["grown-array", "paper10", "grown-array-euler", "paper10-euler"],
 )
 def test_traced_simulate_counts_every_field_evaluation(tmp_path, formation, method):
-    # Either field kernel, the generated list one for paper-10 and the numpy
-    # one above ARRAY_MIN_AGENTS, and either step must pass every evaluation
-    # through the tracer: one per step for Euler, four for RK4, and one more
-    # for the final state.
+    # Either kernel makes one field evaluation per stage of every step, four
+    # for RK4 and one for Euler, and one more at the final state; the manifest
+    # counts them all.  The tracer sees the ones made through the callable
+    # compile_field returns: all of them on arrays (from ARRAY_MIN_AGENTS
+    # agents on), only stage 1 of every step and the final one on lists
+    # (paper-10), whose generated run writes out RK4 stages 2-4.
     cfg_path = tmp_path / f"{formation}.json"
     if formation == "grown-array":
         rng = random.Random(11)
@@ -884,9 +886,13 @@ def test_traced_simulate_counts_every_field_evaluation(tmp_path, formation, meth
     with tr.patched():
         assert run_cli("simulate", "--config", cfg_path, "--out-dir", tmp_path / "run") == 0
     (span,) = [sp for sp in tr.spans if sp.name == "dynamics.simulate"]
-    assert span.attrs["reason"] == "converged" and span.attrs["steps"] > 0
+    steps = span.attrs["steps"]
+    assert span.attrs["reason"] == "converged" and steps > 0
     stages = 4 if method == "rk4" else 1
-    assert span.field_evals == 1 + stages * span.attrs["steps"]
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert (manifest["steps"], manifest["field_evals"]) == (steps, 1 + stages * steps)
+    traced_stages = stages if formation == "grown-array" else 1
+    assert span.field_evals == 1 + traced_stages * steps
 
 
 def test_traced_simulate_computes_formation_errors_once_per_run(tmp_path):

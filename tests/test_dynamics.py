@@ -19,9 +19,9 @@ from triform import (
     simulate,
     total_potential,
 )
-from triform import hierarchy
+from triform import dynamics, hierarchy
 from triform.cli import _run_basin
-from triform.dynamics import CONVERGED, DIVERGED, TIMEOUT, _list_step, probe_points
+from triform.dynamics import CONVERGED, DIVERGED, TIMEOUT, probe_points
 from triform.graph import formation_errors
 from triform.hierarchy import compile_field, target_positions
 from triform.scenario import load_scenario, make_builtin_scenario, resolve, two_columns_layout
@@ -406,14 +406,48 @@ def test_generated_step_matches_the_scalar_loops_on_diverging_runs(case, method)
     assert res.reason == DIVERGED
 
 
-@pytest.mark.parametrize("rk4", [True, False], ids=["rk4", "euler"])
-def test_generated_step_holds_no_float(rk4):
-    # dt and its fractions are bound by name, so one cached step serves every dt
+def compiled_runs(monkeypatch):
+    """The code objects simulate compiles or takes from the cache for its loop, in call order."""
+    codes = []
+
+    def spy(*args):
+        codes.append(hierarchy._compile(*args))
+        return codes[-1]
+
+    monkeypatch.setattr(dynamics, "_compile", spy)
+    return codes
+
+
+def floats_held(code):
+    return {c for c in code.co_consts if isinstance(c, float)}.union(
+        *(floats_held(c) for c in code.co_consts if hasattr(c, "co_consts"))
+    )
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_generated_step_holds_no_float(monkeypatch, method):
+    # dt, its fractions, tol2, the bound and every value of the field are
+    # bound by name; only the op lines' own literals remain, as in the field
+    codes = compiled_runs(monkeypatch)
+    cfg = IntegratorConfig(method=method, dt=0.0123, t_max=1.0, grad_norm_tol=3e-7, divergence_bound=7e5)
     for n in (3, 10):
-        make = _list_step(n, rk4)
-        advance, norm2 = make(None, 1e-3, 5e-4, 1e-3 / 6.0, 2.0)
-        codes = (make.__code__, advance.__code__, norm2.__code__)
-        assert [c for code in codes for c in code.co_consts if isinstance(c, float)] == []
+        _, df, plan = grown_formation(random.Random(n), n, d_star=1.7)
+        simulate(plan, df, target_positions(plan, df), cfg, k_gain=0.37, kappa=2.9)
+    assert len(codes) == 2
+    for code in codes:
+        assert floats_held(code) <= {0.0, 0.5, -0.5}
+
+
+def test_runs_of_one_shape_share_one_compiled_code_object(monkeypatch):
+    codes = compiled_runs(monkeypatch)
+    graph = build_example_graph()
+    plan = build_hierarchy(graph, (1, 2))
+    cfg = IntegratorConfig(t_max=0.1)
+    signs = tuple((-1) ** i for i in range(len(graph.cliques)))
+    for df, k_gain in ((DesiredFormation(graph, 2.0), 20.0), (DesiredFormation(graph, 3.5, signs), 0.6)):
+        start = [Position(q.x + 0.01 * i, q.y - 0.02 * i) for i, q in enumerate(target_positions(plan, df))]
+        assert simulate(plan, df, start, cfg, k_gain=k_gain).steps > 0
+    assert len(codes) == 2 and codes[0] is codes[1]
 
 
 def test_simulate_rejects_wrong_agent_count():
