@@ -6,7 +6,8 @@ time budget runs out (timeout), or when any coordinate leaves a large bound
 or the state or the control field stops being finite (diverged).  One
 generated loop runs them, stepping float64 arrays with numpy from
 ``ARRAY_MIN_AGENTS`` agents on and a local per coordinate with straight-line
-code below.
+code below; the field kernel it calls is generated here too, for either
+kernel from the same op text.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .analysis import FAMILY_APEX, match_equilibrium
 from .geometry import Position
 from .graph import DesiredFormation, formation_errors
-from .hierarchy import HierarchyPlan, _compile, compile_field, field_names, field_lines, uses_array_kernel
+from .hierarchy import HierarchyPlan
 
 CONVERGED = "converged"
 TIMEOUT = "timeout"
@@ -61,8 +62,8 @@ class IntegratorConfig:
             raise ValueError(f"t_max={self.t_max} must be within {MAX_STEPS} steps of dt={self.dt}")
         if not (math.isfinite(self.grad_norm_tol) and self.grad_norm_tol > 0):
             raise ValueError(f"grad_norm_tol must be positive, got {self.grad_norm_tol}")
-        if self.record_stride < 1:
-            raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
+        if type(self.record_stride) is not int or self.record_stride < 1:  # bool too
+            raise ValueError(f"record_stride must be an integer >= 1, got {self.record_stride!r}")
         if not (math.isfinite(self.divergence_bound) and self.divergence_bound > 0):
             raise ValueError(f"divergence_bound must be positive, got {self.divergence_bound}")
 
@@ -176,6 +177,117 @@ def simulate(
     return SimulationResult(trajectory=trajectory, reason=reason, t_final=step * dt, steps=step)
 
 
+FlatField = Callable[[list[float], list[float]], None]
+
+# From this many agents on the numpy field kernel and loop bodies run, below
+# them the generated list ones; it sits above their measured crossover (README).
+ARRAY_MIN_AGENTS = 60
+
+
+def uses_array_kernel(n: int) -> bool:
+    """True when a formation of ``n`` agents is integrated on float64 arrays."""
+    return n >= ARRAY_MIN_AGENTS
+
+
+def compile_field(
+    plan: HierarchyPlan, df: DesiredFormation, *, k_gain: float, kappa: float = 1.0
+) -> FlatField:
+    """Build a fast evaluator of the control field over flat coordinates.
+
+    The returned callable fills ``out`` (length 2n) with the control input for
+    the state ``p`` (x1, y1, x2, y2, ...), computing exactly the expressions
+    of :func:`~triform.hierarchy.control_field`.  Both kernels are generated
+    from the same op text: on float64 arrays (from ``ARRAY_MIN_AGENTS``
+    agents on) one triangle op runs over the gathered columns of all
+    triangle agents, on lists (below) :func:`field_lines` writes out every op.
+    """
+    n = plan.graph.n
+    if uses_array_kernel(n):
+        m, a = 2 * (plan.pair - 1), 2 * (plan.root - 1)
+        unpack = f"x{a}, y{a}, x{m}, y{m} = p[{a}], p[{a + 1}], p[{m}], p[{m + 1}]"
+        ops = [*_pair_lines(plan, "out[{}]"), "xM, yM, xF, yF, xS, yS = p.take(gather)"]
+        ops += _TRIANGLE_OP.format(m="M", f="F", s="S", k="", dx="out[tm]", dy="out[tm1]").split("\n")
+    else:
+        unpack = "".join(f"x{m}, y{m}, " for m in range(0, 2 * n, 2)) + "= p"
+        ops = field_lines(plan, "out[{}]")
+    source = "\n    ".join(["def field(p, out):", unpack, *ops]) + "\n"
+    return _define(source, "field", field_names(plan, df, k_gain=k_gain, kappa=kappa))
+
+
+def field_names(plan: HierarchyPlan, df: DesiredFormation, *, k_gain: float, kappa: float = 1.0) -> dict:
+    """The values the field's ops read, by name: d2, kg and kap, then on lists
+    z_star0, z_star1, ... per triangle, and on arrays one z_star column with
+    the gather indices (rows: x, y of every triangle's agent, first base,
+    second base) and tm, tm1, the agents' x and y offsets."""
+    names = {"d2": df.d_star * df.d_star, "kg": k_gain, "kap": kappa}
+    z_star = [df.z_star(t.clique_index) for t in plan.triangles]
+    if not uses_array_kernel(plan.graph.n):
+        return names | {f"z_star{k}": z for k, z in enumerate(z_star)}
+    corners = np.array([(t.agent, t.base1, t.base2) for t in plan.triangles], dtype=np.intp)
+    gather = np.repeat(2 * (corners.T - 1), 2, axis=0)
+    gather[1::2] += 1
+    return names | {"gather": gather, "tm": gather[0], "tm1": gather[1], "z_star": np.array(z_star)}
+
+
+def field_lines(plan: HierarchyPlan, out: str) -> list[str]:
+    """The field of ``plan`` as straight-line statements, unindented.
+
+    They read agent i's coordinates from x{m} and y{m} with m = 2(i - 1), the
+    values of :func:`field_names` by name, and assign entry j of the field
+    to ``out.format(j)``: the stationary agent's two entries 0.0, then the
+    pair op and each triangle op in processing order.
+    """
+    lines = _pair_lines(plan, out)
+    for k, t in enumerate(plan.triangles):
+        m, f, s = 2 * (t.agent - 1), 2 * (t.base1 - 1), 2 * (t.base2 - 1)
+        lines += _TRIANGLE_OP.format(m=m, f=f, s=s, k=k, dx=out.format(m), dy=out.format(m + 1)).split("\n")
+    return lines
+
+
+def _pair_lines(plan: HierarchyPlan, out: str) -> list[str]:
+    """The stationary agent's two entries 0.0, then the pair op."""
+    m, a = 2 * (plan.pair - 1), 2 * (plan.root - 1)
+    lines = [f"{out.format(a)} = 0.0", f"{out.format(a + 1)} = 0.0"]
+    return lines + _PAIR_OP.format(m=m, a=a, dx=out.format(m), dy=out.format(m + 1)).split("\n")
+
+
+# The field's ops, with x{m}, y{m} holding agent m's coordinates: scalars, or
+# on arrays the columns xM, yM, xF, yF, xS, yS of all triangle agents.  They
+# state the lines of their references, potentials.pair_gradient and
+# potentials._corner_gradient.  The sources hold only integer offsets and
+# names, so non-finite values behave as in any other evaluation and plans of
+# one shape share one code object.
+_PAIR_OP = """\
+ex = x{m} - x{a}
+ey = y{m} - y{a}
+err = (ex * ex + ey * ey) - d2
+{dx} = -(kap * (err * ex))
+{dy} = -(kap * (err * ey))"""
+_TRIANGLE_OP = """\
+e1x = x{m} - x{f}
+e1y = y{m} - y{f}
+e2x = x{m} - x{s}
+e2y = y{m} - y{s}
+c1 = (e1x * e1x + e1y * e1y) - d2
+c2 = (e2x * e2x + e2y * e2y) - d2
+bx = x{s} - x{f}
+by = y{s} - y{f}
+z = 0.5 * (bx * e1y - e1x * by)
+area = kg * (z - z_star{k})
+gx = c1 * e1x + c2 * e2x + area * (-0.5 * by)
+gy = c1 * e1y + c2 * e2y + area * (0.5 * bx)
+{dx} = -(kap * gx)
+{dy} = -(kap * gy)"""
+
+_compile = lru_cache(maxsize=32)(compile)  # keyed by the source text
+
+
+def _define(source: str, name: str, env: dict):
+    """The function ``name`` that ``source`` defines, run in ``env``; compiled once per text."""
+    exec(_compile(source, f"<triform {name}>", "exec"), env)
+    return env[name]
+
+
 # The integrator loop, the one statement of its control flow.  A kernel fills
 # in three bodies: {setup} before the loop, {norm} setting gmax2, the largest
 # squared control norm, from u = field(p), and {advance} stepping the state p
@@ -268,9 +380,7 @@ def _define_run(params: list[str], setup: Sequence[str], norm: Sequence[str], ad
         norm="\n".join("        " + line for line in norm),
         advance="\n".join("        " + line for line in advance),
     )
-    env: dict = {}
-    exec(_compile(source, "<triform run>", "exec"), env)
-    return env["run"]
+    return _define(source, "run", {})
 
 
 @dataclass(frozen=True)
@@ -334,9 +444,9 @@ def probe_points(
     never move; agent 3 starts at the point.  Each terminal point is matched
     against ``equilibria``: "correct" for the target apex, "incorrect" for
     any other equilibrium, "unresolved" when nothing matches within 1e-4 or
-    the run did not converge.  A failure in one cell never aborts the sweep.
-    Distinct points are independent, so callers may split them across worker
-    processes.
+    the run did not converge.  An error raised by one cell's run propagates
+    and aborts the sweep.  Distinct points are independent, so callers may
+    split them across worker processes.
     """
     if plan.graph.n != 3:
         raise ValueError(f"basin probe needs the pinned 3-agent scenario, got n={plan.graph.n}")

@@ -12,18 +12,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .geometry import SQRT3, PlanarVector, Position
 from .graph import DesiredFormation, FormationGraph, growth_order, validate_triangulated_laman
 from .potentials import (
     PairPotentialSpec,
     TrianglePotentialSpec,
-    _corner_gradient,
     pair_gradient,
     pair_potential,
     triangle_gradient,
@@ -216,129 +212,3 @@ def target_positions(plan: HierarchyPlan, df: DesiredFormation) -> list[Position
             0.5 * (b1y + b2y) + sign * sqrt3_half * bx,
         )
     return [Position(*pts[a]) for a in range(1, plan.graph.n + 1)]
-
-
-FlatField = Callable[[list[float], list[float]], None]
-
-# From this many agents on the numpy field kernel and step run, below them the
-# generated list ones; it sits above their measured crossover (README).
-ARRAY_MIN_AGENTS = 60
-
-
-def uses_array_kernel(n: int) -> bool:
-    """True when a formation of ``n`` agents is integrated on float64 arrays."""
-    return n >= ARRAY_MIN_AGENTS
-
-
-def compile_field(
-    plan: HierarchyPlan, df: DesiredFormation, *, k_gain: float, kappa: float = 1.0
-) -> FlatField:
-    """Build a fast evaluator of the control field over flat coordinates.
-
-    The returned callable fills ``out`` (length 2n) with the control input for
-    the state ``p`` (x1, y1, x2, y2, ...), computing exactly the expressions
-    of :func:`control_field`: numpy on float64 arrays from ``ARRAY_MIN_AGENTS``
-    agents on, straight-line :func:`field_lines` on lists below.
-    """
-    names = field_names(plan, df, k_gain=k_gain, kappa=kappa)
-    n = plan.graph.n
-    if uses_array_kernel(n):
-        return _array_field(plan, names)
-    lines = ["def field(p, out):", "    " + "".join(f"x{m}, y{m}, " for m in range(0, 2 * n, 2)) + "= p"]
-    lines += ["    " + line for line in field_lines(plan, "out[{}]")]
-    exec(_compile("\n".join(lines) + "\n", f"<triform field, {n} agents>", "exec"), names)
-    return names["field"]
-
-
-_compile = lru_cache(maxsize=32)(compile)  # keyed by the source text
-
-
-def field_names(
-    plan: HierarchyPlan, df: DesiredFormation, *, k_gain: float, kappa: float = 1.0
-) -> dict[str, float]:
-    """The values :func:`field_lines` reads, by name: d2, kg, kap and z_star0, z_star1, ..."""
-    names = {"d2": df.d_star * df.d_star, "kg": k_gain, "kap": kappa}
-    for k, t in enumerate(plan.triangles):
-        names[f"z_star{k}"] = df.z_star(t.clique_index)
-    return names
-
-
-def field_lines(plan: HierarchyPlan, out: str) -> list[str]:
-    """The field of ``plan`` as straight-line statements, unindented.
-
-    They read agent i's coordinates from x{m} and y{m} with m = 2(i - 1), the
-    values of :func:`field_names` by name, and assign entry j of the field
-    to ``out.format(j)``: the stationary agent's two entries 0.0, then the
-    pair op and each triangle op in processing order.  The source holds only
-    integer offsets and names, so non-finite values behave as in any other
-    evaluation and plans of one shape share one compiled code object.
-    """
-    m, a = 2 * (plan.pair - 1), 2 * (plan.root - 1)
-    lines = [f"{out.format(a)} = 0.0", f"{out.format(a + 1)} = 0.0"]
-    lines += _PAIR_OP.format(m=m, a=a, dx=out.format(m), dy=out.format(m + 1)).split("\n")
-    for k, t in enumerate(plan.triangles):
-        m, f, s = 2 * (t.agent - 1), 2 * (t.base1 - 1), 2 * (t.base2 - 1)
-        op = _TRIANGLE_OP.format(m=m, f=f, s=s, k=k, dx=out.format(m), dy=out.format(m + 1))
-        lines += op.split("\n")
-    return lines
-
-
-# The ops of the generated list kernel, with x{m}, y{m} holding p[m], p[m + 1].
-# The triangle op states the lines of potentials._corner_gradient.
-_PAIR_OP = """\
-ex = x{m} - x{a}
-ey = y{m} - y{a}
-err = (ex * ex + ey * ey) - d2
-{dx} = -(kap * (err * ex))
-{dy} = -(kap * (err * ey))"""
-_TRIANGLE_OP = """\
-e1x = x{m} - x{f}
-e1y = y{m} - y{f}
-e2x = x{m} - x{s}
-e2y = y{m} - y{s}
-c1 = (e1x * e1x + e1y * e1y) - d2
-c2 = (e2x * e2x + e2y * e2y) - d2
-bx = x{s} - x{f}
-by = y{s} - y{f}
-z = 0.5 * (bx * e1y - e1x * by)
-area = kg * (z - z_star{k})
-gx = c1 * e1x + c2 * e2x + area * (-0.5 * by)
-gy = c1 * e1y + c2 * e2y + area * (0.5 * bx)
-{dx} = -(kap * gx)
-{dy} = -(kap * gy)"""
-
-
-def _array_field(plan: HierarchyPlan, names: dict[str, float]) -> FlatField:
-    """The field of :func:`compile_field` over float64 arrays.
-
-    Each evaluation gathers the triangle agents' coordinates through one
-    index array built here and hands the columns to
-    :func:`~triform.potentials._corner_gradient`, whose lines the generated
-    scalar kernel repeats in the same order, so every entry matches it bit for
-    bit.
-    ``-(kap * g)`` is computed as ``(-kap) * g``, which rounds identically.
-    The plan's single pair agent stays scalar.
-    """
-    # Rows: x and y offsets of every triangle's agent, first base, second base.
-    corners = np.array([(t.agent, t.base1, t.base2) for t in plan.triangles], dtype=np.intp)
-    gather = np.repeat(2 * (corners.T - 1), 2, axis=0)
-    gather[1::2] += 1
-    tm, tm1 = gather[0], gather[1]
-    z_star = np.array([names[f"z_star{k}"] for k in range(len(plan.triangles))], dtype=float)
-    d2, kg, kap = names["d2"], names["kg"], names["kap"]
-    neg_kap = -kap
-    m, a = 2 * (plan.pair - 1), 2 * (plan.root - 1)
-
-    def field(p: np.ndarray, out: np.ndarray) -> None:
-        out.fill(0.0)
-        ex = p[m] - p[a]
-        ey = p[m + 1] - p[a + 1]
-        err = (ex * ex + ey * ey) - d2
-        out[m] = -(kap * (err * ex))
-        out[m + 1] = -(kap * (err * ey))
-        mx, my, fx, fy, sx, sy = p.take(gather)
-        gx, gy = _corner_gradient(d2, kg, z_star, fx, fy, sx, sy, mx, my)
-        out[tm] = neg_kap * gx
-        out[tm1] = neg_kap * gy
-
-    return field

@@ -467,7 +467,7 @@ GOLDEN = {
 def test_simulate_csv_bytes_are_pinned(tmp_path, name):
     doc, flags = golden_runs()[name]
     if name == "grown-64":
-        assert triform.hierarchy.uses_array_kernel(doc["graph"]["n"])
+        assert triform.dynamics.uses_array_kernel(doc["graph"]["n"])
     cfg_path = tmp_path / "scenario.json"
     cfg_path.write_text(json.dumps(doc))
     out = tmp_path / "run"
@@ -862,7 +862,7 @@ def test_traced_simulate_counts_every_field_evaluation(tmp_path, formation, meth
     cfg_path = tmp_path / f"{formation}.json"
     if formation == "grown-array":
         rng = random.Random(11)
-        graph, df, plan = grown_formation(rng, triform.hierarchy.ARRAY_MIN_AGENTS + 1)
+        graph, df, plan = grown_formation(rng, triform.dynamics.ARRAY_MIN_AGENTS + 1)
         start = tuple(
             (q.x + rng.uniform(-0.1, 0.1), q.y + rng.uniform(-0.1, 0.1))
             for q in target_positions(plan, df)

@@ -19,11 +19,11 @@ from triform import (
     simulate,
     total_potential,
 )
-from triform import dynamics, hierarchy
+from triform import dynamics
 from triform.cli import _run_basin
-from triform.dynamics import CONVERGED, DIVERGED, TIMEOUT, probe_points
+from triform.dynamics import CONVERGED, DIVERGED, TIMEOUT, compile_field, probe_points
 from triform.graph import formation_errors
-from triform.hierarchy import compile_field, target_positions
+from triform.hierarchy import target_positions
 from triform.scenario import load_scenario, make_builtin_scenario, resolve, two_columns_layout
 
 from conftest import grown_formation
@@ -56,6 +56,8 @@ def pinned_init(x, y, a=1.0):
         {"record_stride": 0},
         {"divergence_bound": -1.0},
         {"t_max": float("inf")},
+        {"record_stride": 1.5},
+        {"record_stride": True},
     ],
 )
 def test_integrator_config_rejects_bad_values(kwargs):
@@ -219,7 +221,7 @@ NON_FINITE = {
 @pytest.mark.parametrize("case", sorted(NON_FINITE))
 def test_non_finite_state_or_field_is_divergence(monkeypatch, case, arrays):
     kappa, k_gain, start, steps = NON_FINITE[case]
-    monkeypatch.setattr(hierarchy, "ARRAY_MIN_AGENTS", 3 if arrays else 4)
+    monkeypatch.setattr(dynamics, "ARRAY_MIN_AGENTS", 3 if arrays else 4)
     df, plan = triangle_setup()
     cfg = IntegratorConfig(record_stride=1)
     res = simulate(plan, df, pinned_init(*start), cfg, k_gain=k_gain, kappa=kappa)
@@ -249,7 +251,7 @@ def test_array_and_scalar_paths_agree_bit_for_bit(monkeypatch, method, ending):
     ]
     runs = []
     for threshold in (plan.graph.n + 1, plan.graph.n):  # scalar loops, then arrays
-        monkeypatch.setattr(hierarchy, "ARRAY_MIN_AGENTS", threshold)
+        monkeypatch.setattr(dynamics, "ARRAY_MIN_AGENTS", threshold)
         runs.append(simulate(plan, df, init, cfg, k_gain=20.0, kappa=20.0))
     scalar, arrays = runs
     assert scalar.reason == arrays.reason == ending
@@ -352,7 +354,7 @@ def reference_simulate(plan, df, init, cfg, *, k_gain, kappa=1.0):
 
 
 def assert_matches_the_scalar_loops(plan, df, init, cfg, k_gain, kappa):
-    assert not hierarchy.uses_array_kernel(plan.graph.n)
+    assert not dynamics.uses_array_kernel(plan.graph.n)
     res = simulate(plan, df, init, cfg, k_gain=k_gain, kappa=kappa)
     times, states, metrics, steps, reason = reference_simulate(
         plan, df, init, cfg, k_gain=k_gain, kappa=kappa
@@ -378,7 +380,7 @@ def test_generated_step_matches_the_scalar_loops_on_shipped_scenarios(name, meth
 
 @pytest.mark.parametrize("method", ["rk4", "euler"])
 @pytest.mark.parametrize("ending", sorted(ENDINGS))
-@pytest.mark.parametrize("n", [3, 4, 11, 25, hierarchy.ARRAY_MIN_AGENTS - 1])
+@pytest.mark.parametrize("n", [3, 4, 11, 25, dynamics.ARRAY_MIN_AGENTS - 1])
 def test_generated_step_matches_the_scalar_loops_on_grown_graphs(n, ending, method):
     cfg, spread = ENDINGS[ending]
     rng = random.Random(1000 + n)
@@ -407,11 +409,12 @@ def test_generated_step_matches_the_scalar_loops_on_diverging_runs(case, method)
 
 
 def compiled_runs(monkeypatch):
-    """The code objects simulate compiles or takes from the cache for its loop, in call order."""
+    """The code objects simulate compiles or takes from the cache, field and loop, in call order."""
     codes = []
+    compile_once = dynamics._compile
 
     def spy(*args):
-        codes.append(hierarchy._compile(*args))
+        codes.append(compile_once(*args))
         return codes[-1]
 
     monkeypatch.setattr(dynamics, "_compile", spy)
@@ -433,7 +436,7 @@ def test_generated_step_holds_no_float(monkeypatch, method):
     for n in (3, 10):
         _, df, plan = grown_formation(random.Random(n), n, d_star=1.7)
         simulate(plan, df, target_positions(plan, df), cfg, k_gain=0.37, kappa=2.9)
-    assert len(codes) == 2
+    assert len(codes) == 4 and len(set(map(id, codes))) == 4  # a field and a loop per shape
     for code in codes:
         assert floats_held(code) <= {0.0, 0.5, -0.5}
 
@@ -444,10 +447,14 @@ def test_runs_of_one_shape_share_one_compiled_code_object(monkeypatch):
     plan = build_hierarchy(graph, (1, 2))
     cfg = IntegratorConfig(t_max=0.1)
     signs = tuple((-1) ** i for i in range(len(graph.cliques)))
-    for df, k_gain in ((DesiredFormation(graph, 2.0), 20.0), (DesiredFormation(graph, 3.5, signs), 0.6)):
-        start = [Position(q.x + 0.01 * i, q.y - 0.02 * i) for i, q in enumerate(target_positions(plan, df))]
-        assert simulate(plan, df, start, cfg, k_gain=k_gain).steps > 0
-    assert len(codes) == 2 and codes[0] is codes[1]
+    for threshold in (11, 10):  # lists, then arrays
+        monkeypatch.setattr(dynamics, "ARRAY_MIN_AGENTS", threshold)
+        for df, k_gain in ((DesiredFormation(graph, 2.0), 20.0), (DesiredFormation(graph, 3.5, signs), 0.6)):
+            start = [Position(q.x + 0.01 * i, q.y - 0.02 * i) for i, q in enumerate(target_positions(plan, df))]
+            assert simulate(plan, df, start, cfg, k_gain=k_gain).steps > 0
+    assert len(codes) == 8
+    for field, run, field_again, run_again in (codes[:4], codes[4:]):
+        assert field is field_again and run is run_again and field is not run
 
 
 def test_simulate_rejects_wrong_agent_count():

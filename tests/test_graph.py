@@ -18,7 +18,7 @@ from triform import (
     validate_triangulated_laman,
 )
 
-from triform.hierarchy import ARRAY_MIN_AGENTS
+from triform.dynamics import ARRAY_MIN_AGENTS
 
 from conftest import grow_henneberg, grown_formation, random_rigid_motion
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,8 +16,7 @@ from triform import (
     target_positions,
     total_potential,
 )
-from triform import hierarchy
-from triform.hierarchy import compile_field
+from triform.dynamics import ARRAY_MIN_AGENTS, compile_field
 from triform.potentials import _corner_gradient
 
 from conftest import grow_henneberg, grown_formation
@@ -242,12 +242,12 @@ def test_kappa_scales_field_exactly(rng):
 
 
 def test_compiled_field_agrees_with_reference(rng):
-    sizes = (4, 11, 25, hierarchy.ARRAY_MIN_AGENTS - 1, hierarchy.ARRAY_MIN_AGENTS + 7)
+    sizes = (4, 11, 25, ARRAY_MIN_AGENTS - 1, ARRAY_MIN_AGENTS + 7)
     grown = [lambda n=n: grown_formation(rng, n) for n in sizes]  # random orientation signs
     for setup in (triangle_setup, example_setup, *grown):
         _, df, plan = setup()
         n = plan.graph.n
-        arrays = n >= hierarchy.ARRAY_MIN_AGENTS
+        arrays = n >= ARRAY_MIN_AGENTS
         kappa = rng.uniform(0.5, 2.0)
         fast = compile_field(plan, df, k_gain=20.0, kappa=kappa)
         # NaN everywhere, so an entry the kernel never writes cannot pass for 0.0
@@ -261,21 +261,30 @@ def test_compiled_field_agrees_with_reference(rng):
             assert np.array(out).tobytes() == np.array(want).tobytes()  # signed zeros too
 
 
-@pytest.mark.parametrize("setup", [triangle_setup, example_setup], ids=["triangle", "paper10"])
+def grown_array_setup(d_star=2.0):
+    return grown_formation(random.Random(67), ARRAY_MIN_AGENTS + 7, d_star)
+
+
+@pytest.mark.parametrize(
+    "setup", [triangle_setup, example_setup, grown_array_setup], ids=["triangle", "paper10", "grown-array"]
+)
 def test_compiled_field_keeps_infinite_targets(rng, setup):
     # d_star = 1e200 makes d2 and every z_star infinite.  control_field refuses
     # such values (its specs and vectors must be finite), so the reference is
     # the expressions it evaluates: the pair term and potentials._corner_gradient.
     _, df, plan = setup(d_star=1e200)
     n, kappa, d2 = plan.graph.n, 1.5, df.d_star * df.d_star
+    arrays = n >= ARRAY_MIN_AGENTS
     fast = compile_field(plan, df, k_gain=20.0, kappa=kappa)
     # the generated source holds no float of the plan: they stay bound by name
     assert {c for c in fast.__code__.co_consts if isinstance(c, float)} <= {0.0, 0.5, -0.5}
-    out = [math.nan] * (2 * n)
+    out = np.full(2 * n, np.nan) if arrays else [math.nan] * (2 * n)
     values = []
     for _ in range(20):
         pts = [Position(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(n)]
-        fast([c for p in pts for c in (p.x, p.y)], out)
+        flat = [c for p in pts for c in (p.x, p.y)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            fast(np.array(flat) if arrays else flat, out)
         want = [0.0] * (2 * n)  # the stationary agent's entries stay 0.0
         q, r = pts[plan.pair - 1], pts[plan.root - 1]
         ex, ey = q.x - r.x, q.y - r.y
