@@ -240,7 +240,7 @@ def cmd_analyze(args: argparse.Namespace) -> Run:
             stable = sum(1 for e in eqs if e.stability == STABLE)
             summary_rows.append([k, regime.regime, int(regime.at_boundary), len(eqs), stable])
             for eq in eqs:
-                lam2 = eq.eigenvalues[1] if len(eq.eigenvalues) > 1 else None
+                lam1, lam2 = eq.eigenvalues  # every triangle entry carries both
                 rows.append(
                     [
                         k,
@@ -249,7 +249,7 @@ def cmd_analyze(args: argparse.Namespace) -> Run:
                         eq.family,
                         eq.position.x,
                         eq.position.y,
-                        eq.eigenvalues[0],
+                        lam1,
                         lam2,
                         eq.stability,
                         eq.note,

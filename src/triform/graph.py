@@ -229,6 +229,8 @@ def validate_triangulated_laman(graph: FormationGraph) -> LamanCheck:
     The search runs :func:`growth_order` from every seed edge in turn.  Greedy
     is complete here: attachability only grows as vertices are placed, so if
     any valid ordering with a given seed exists the greedy one succeeds too.
+    A seed with both ends in one earlier growth is skipped: nothing outside a
+    growth attaches to it, so the seed's growth cannot leave it.
     """
     n = graph.n
     if n == 1:
@@ -238,10 +240,15 @@ def validate_triangulated_laman(graph: FormationGraph) -> LamanCheck:
         return LamanCheck(ok=False, violation="graph has no edges to seed an ordering")
 
     best_order: list[int] = []
+    inside: set[Edge] = set()  # edges with both ends in one earlier growth
     for seed in sorted(graph.edges):
+        if seed in inside:
+            continue
         order = growth_order(adj, seed)
         if len(order) == n:
             return LamanCheck(ok=True, ordering=tuple(order))
+        grown = set(order)
+        inside.update((u, w) for u in order for w in adj[u] & grown if u < w)
         if len(order) > len(best_order):
             best_order = order
     stuck = min(set(adj).difference(best_order))

@@ -13,9 +13,10 @@ import json
 import math
 import random
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from .dynamics import IntegratorConfig
 from .geometry import Position
@@ -49,8 +50,8 @@ class InitialSpec:
             raise ConfigError(
                 "initial", "specify exactly one of 'positions', 'layout', or 'seed' with 'box'"
             )
-        if self.seed is not None and self.box is None:
-            raise ConfigError("initial.box", "a seeded random layout needs a bounding box")
+        if (self.seed is None) != (self.box is None):
+            raise ConfigError("initial.box", "'box' goes only with 'seed', and 'seed' needs one")
         if self.layout is not None and self.layout != LAYOUT_TWO_COLUMNS:
             raise ConfigError("initial.layout", f"unknown layout {self.layout!r}")
         if self.box is not None:
@@ -181,10 +182,18 @@ def config_to_dict(config: ScenarioConfig) -> dict[str, Any]:
     return out
 
 
-def _require(doc: dict[str, Any], key: str, path: str) -> Any:
-    if key not in doc:
-        raise ConfigError(f"{path}{key}", "missing required field")
-    return doc[key]
+def _object(value: Any, path: str, required: tuple[str, ...], optional: Iterable[str]) -> dict:
+    """A JSON object with every ``required`` key and no key outside ``required`` or ``optional``."""
+    if not isinstance(value, dict):
+        raise ConfigError(path or "<root>", f"expected an object, got {type(value).__name__}")
+    prefix = f"{path}." if path else ""
+    for key in value:
+        if key not in required and key not in optional:
+            raise ConfigError(f"{prefix}{key}", "unknown field")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{prefix}{key}", "missing required field")
+    return value
 
 
 def _int(value: Any, path: str) -> int:
@@ -206,11 +215,11 @@ def _ints(values: Any, path: str, count: int | None = None) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _rows(values: Any, path: str, width: int) -> list[tuple[int, ...]]:
-    """A list of agent-id lists (edges or cliques), each ``width`` integers long."""
+def _rows(values: Any, path: str, row: Callable[[Any, str], Any]) -> tuple[Any, ...]:
+    """A list whose entries (edges, cliques, positions) ``row`` parses at ``{path}[i]``."""
     if not isinstance(values, (list, tuple)):
         raise ConfigError(path, f"expected a list, got {values!r}")
-    return [_ints(v, f"{path}[{i}]", width) for i, v in enumerate(values)]
+    return tuple(row(v, f"{path}[{i}]") for i, v in enumerate(values))
 
 
 _FLOAT_MAX = sys.float_info.max
@@ -228,6 +237,13 @@ def _number(value: Any, path: str) -> float:
     return float(value)
 
 
+def _point(value: Any, path: str) -> tuple[float, float]:
+    """One ``initial.positions`` entry: a pair of finite numbers."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ConfigError(path, f"expected a pair of numbers, got {value!r}")
+    return _number(value[0], path), _number(value[1], path)
+
+
 def _box(values: Any) -> tuple[float, float, float, float]:
     """``initial.box``: four numbers with finite x and y spans, kept as given."""
     ok = isinstance(values, (list, tuple)) and len(values) == 4 and all(map(_is_number, values))
@@ -240,59 +256,35 @@ def _box(values: Any) -> tuple[float, float, float, float]:
 
 
 def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("<root>", f"expected an object, got {type(doc).__name__}")
-    known = {
-        "graph", "root_edge", "d_star", "k_gain", "kappa", "initial", "integrator", "z_star_signs",
-    }
-    for key in doc:
-        if key not in known:
-            raise ConfigError(key, "unknown field")
+    required = ("graph", "root_edge", "d_star", "k_gain", "initial")
+    doc = _object(doc, "", required, ("kappa", "integrator", "z_star_signs"))
 
-    raw_graph = _require(doc, "graph", "")
-    if isinstance(raw_graph, str):
-        graph: str | FormationGraph = raw_graph
-    elif isinstance(raw_graph, dict):
-        n = _int(_require(raw_graph, "n", "graph."), "graph.n")
-        edges = _rows(_require(raw_graph, "edges", "graph."), "graph.edges", 2)
-        cliques = _rows(raw_graph.get("cliques", []), "graph.cliques", 3)
+    graph: str | FormationGraph = doc["graph"]
+    if isinstance(graph, dict):
+        raw_graph = _object(graph, "graph", ("n", "edges"), ("cliques",))
+        n = _int(raw_graph["n"], "graph.n")
+        edges = _rows(raw_graph["edges"], "graph.edges", partial(_ints, count=2))
+        cliques = _rows(raw_graph.get("cliques", []), "graph.cliques", partial(_ints, count=3))
         if n > 2 * len(edges):  # every agent lies on an edge
             raise ConfigError("graph.n", f"{n} agents cannot all lie on {len(edges)} edges")
         try:
             graph = FormationGraph(n, edges, cliques)
         except GraphSpecError as exc:
             raise ConfigError("graph", str(exc)) from exc
-    else:
+    elif not isinstance(graph, str):
         raise ConfigError("graph", "expected a builtin name or an object")
 
-    root_edge = _ints(_require(doc, "root_edge", ""), "root_edge", 2)
+    init = _object(doc["initial"], "initial", (), ("positions", "layout", "seed", "box"))
+    positions, seed = init.get("positions"), init.get("seed")
+    initial = InitialSpec(
+        positions=_rows(positions, "initial.positions", _point) if "positions" in init else None,
+        layout=init.get("layout"),
+        seed=seed if seed is None else _int(seed, "initial.seed"),
+        box=_box(init["box"]) if "box" in init else None,
+    )
 
-    raw_initial = _require(doc, "initial", "")
-    if not isinstance(raw_initial, dict):
-        raise ConfigError("initial", "expected an object")
-    seed = raw_initial.get("seed")
-    try:
-        initial = InitialSpec(
-            positions=(
-                tuple(
-                    (_number(x, f"initial.positions[{i}]"), _number(y, f"initial.positions[{i}]"))
-                    for i, (x, y) in enumerate(raw_initial["positions"])
-                )
-                if "positions" in raw_initial
-                else None
-            ),
-            layout=raw_initial.get("layout"),
-            seed=seed if seed is None else _int(seed, "initial.seed"),
-            box=_box(raw_initial["box"]) if "box" in raw_initial else None,
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("initial", str(exc)) from exc
-
-    raw_integrator = doc.get("integrator", {})
-    if not isinstance(raw_integrator, dict):
-        raise ConfigError("integrator", "expected an object")
+    allowed = {f.name for f in fields(IntegratorConfig)}
+    raw_integrator = _object(doc.get("integrator", {}), "integrator", (), allowed)
     if "record_stride" in raw_integrator:
         _int(raw_integrator["record_stride"], "integrator.record_stride")
     for key in ("dt", "t_max", "grad_norm_tol", "divergence_bound"):
@@ -300,15 +292,15 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
             _number(raw_integrator[key], f"integrator.{key}")
     try:
         integrator = IntegratorConfig(**raw_integrator)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError("integrator", str(exc)) from exc
 
     signs = doc.get("z_star_signs")
     return ScenarioConfig(
         graph=graph,
-        root_edge=root_edge,
-        d_star=_number(_require(doc, "d_star", ""), "d_star"),
-        k_gain=_number(_require(doc, "k_gain", ""), "k_gain"),
+        root_edge=_ints(doc["root_edge"], "root_edge", 2),
+        d_star=_number(doc["d_star"], "d_star"),
+        k_gain=_number(doc["k_gain"], "k_gain"),
         kappa=_number(doc.get("kappa", 1.0), "kappa"),
         initial=initial,
         integrator=integrator,

@@ -154,6 +154,18 @@ MALFORMED = {
     "position-bool": (
         ("initial",), {"positions": [[-1.0, 0.0], [1.0, False], [0.3, 2.0]]}, "initial.positions[1]"
     ),
+    "position-triple": (
+        ("initial",), {"positions": [[-1, 0], [1, 0], [0.3, 0.5, 9]]}, "initial.positions[2]"
+    ),
+    "positions-number": (("initial",), {"positions": 5}, "initial.positions"),
+    "positions-with-box": (
+        ("initial",),
+        {"positions": [[-1, 0], [1, 0], [0.3, 0.5]], "box": [-1, 1, -1, 1]},
+        "initial.box",
+    ),
+    "initial-misspelt-seed": (("initial", "sead"), 7, "initial.sead"),
+    "graph-signs": (("graph", "z_star_signs"), [-1], "graph.z_star_signs"),
+    "integrator-unknown": (("integrator", "foo"), 1, "integrator.foo"),
     "edges-null": (("graph", "edges"), None, "graph.edges"),
     "edges-number": (("graph", "edges"), [1], "graph.edges[0]"),
     "cliques-number": (("graph", "cliques"), [5], "graph.cliques[0]"),
@@ -178,7 +190,9 @@ def test_config_from_dict_rejects_malformed_values(case):
     assert err.value.field_path == MALFORMED[case][2]
 
 
-@pytest.mark.parametrize("case", ["seed-list", "edges-number", "dt-bool", "dt-too-many-steps"])
+@pytest.mark.parametrize(
+    "case", ["seed-list", "edges-number", "dt-bool", "dt-too-many-steps", "graph-signs"]
+)
 def test_simulate_rejects_malformed_document(tmp_path, case):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(malformed_document(case)))

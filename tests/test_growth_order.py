@@ -17,6 +17,7 @@ from triform import (
     build_hierarchy,
     validate_triangulated_laman,
 )
+import triform.graph
 from triform.graph import growth_order
 from triform.hierarchy import TriangleAssignment
 
@@ -148,6 +149,27 @@ def test_validation_matches_rescan():
         assert (check.ok, check.ordering, check.violation) == rescan_validation(graph)
         outcomes.add(check.ok)
     assert outcomes == {True, False}
+
+
+def test_validation_skips_seeds_inside_an_earlier_growth(monkeypatch):
+    # A grown graph plus one pendant agent: the first seed grows every agent
+    # but the pendant, so only the pendant's edge needs a growth of its own.
+    n = 200
+    edges, cliques = grow_henneberg(random.Random(35), n)
+    graph = FormationGraph(n + 1, edges + [(n, n + 1)], cliques)
+    seeds = []
+
+    def spy(adj, seed):
+        seeds.append(seed)
+        return growth_order(adj, seed)
+
+    monkeypatch.setattr(triform.graph, "growth_order", spy)
+    check = validate_triangulated_laman(graph)
+    assert check.violation == (
+        f"vertex {n + 1} cannot attach to two adjacent placed vertices "
+        f"(best ordering covers {n} of {n + 1} agents)"
+    )
+    assert seeds == [(1, 2), (n, n + 1)]
 
 
 def test_hierarchy_build_matches_rescan():
