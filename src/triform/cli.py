@@ -45,9 +45,9 @@ from .dynamics import (
     simulate,
 )
 from .geometry import Position
-# Unused here, but kept: perfbench/tracer.py patches this attribute, and
-# test_tracer_call_sites_resolve checks that it exists.
-from .graph import formation_errors
+# formation_errors is unused here, but kept: perfbench/tracer.py patches this
+# attribute, and test_tracer_call_sites_resolve checks that it exists.
+from .graph import _BLOCK_VALUES, formation_errors
 from .scenario import (
     ConfigError,
     InitialSpec,
@@ -84,20 +84,24 @@ def _write_trajectory(out_dir: Path, traj: Trajectory) -> None:
     """Write trajectory.csv and metrics.csv, one row per recorded sample.
 
     Each sample's time and metric fields are formatted once and shared by
-    both files; floats are written as their repr.
+    both files; floats are written as their repr.  Rows are converted in
+    blocks of ``_BLOCK_VALUES`` values, so memory stays bounded.
     """
     samples, n, _ = traj.states.shape
     coords = [f"{axis}_{i}" for i in range(1, n + 1) for axis in "xy"]
     errors = ["max_dist_err", "max_area_err", "max_u_norm"]
+    states = traj.states.reshape(samples, 2 * n)
+    size = max(1, _BLOCK_VALUES // (2 * n + 4))  # rows per block: t, 2n coordinates, 3 metrics
     with (out_dir / "trajectory.csv").open("w") as traj_f, (out_dir / "metrics.csv").open("w") as met_f:
         traj_f.write(",".join(["t", *coords, *errors]) + "\n")
         met_f.write(",".join(["t", *errors]) + "\n")
-        rows = zip(traj.times.tolist(), traj.states.reshape(samples, 2 * n), traj.metrics.tolist())
-        for t, state, metric in rows:
-            head = repr(t)
-            tail = ",".join(map(repr, metric))
-            traj_f.write(f"{head},{','.join(map(repr, state.tolist()))},{tail}\n")
-            met_f.write(f"{head},{tail}\n")
+        for b in range(0, samples, size):
+            block = (traj.times[b : b + size], states[b : b + size], traj.metrics[b : b + size])
+            for t, state, metric in zip(*(a.tolist() for a in block)):
+                head = repr(t)
+                tail = ",".join(map(repr, metric))
+                traj_f.write(f"{head},{','.join(map(repr, state))},{tail}\n")
+                met_f.write(f"{head},{tail}\n")
 
 
 def _finite_or_none(value: float) -> float | None:

@@ -261,6 +261,13 @@ def validate_triangulated_laman(graph: FormationGraph) -> LamanCheck:
     )
 
 
+# Values per float64 temporary of one block (64 KiB): formation_errors takes
+# a stack in blocks of samples, and the CLI writes its CSVs in blocks of
+# rows, so no temporary crosses glibc's 128 KiB mmap threshold and memory
+# stays bounded however long the run.
+_BLOCK_VALUES = 2**13
+
+
 @np.errstate(over="ignore", invalid="ignore")  # huge or non-finite inputs give inf/NaN errors
 def formation_errors(
     df: DesiredFormation, positions: Sequence[Position] | np.ndarray
@@ -272,7 +279,8 @@ def formation_errors(
     samples.  Returns (max |dist - d_star|, max |Z - Z_star|) as Python floats
     for one formation, or as arrays over the leading axes for a stack.  Either
     maximum is 0.0 when the corresponding set is empty; a NaN error is
-    skipped, never returned.
+    skipped, never returned.  A stack is evaluated in blocks of samples, so
+    its temporaries stay small.
     """
     n = df.graph.n
     if isinstance(positions, np.ndarray):
@@ -281,6 +289,18 @@ def formation_errors(
         p = np.array([q.as_tuple() for q in positions])
     if p.shape[-2:] != (n, 2):
         raise ValueError(f"expected {n} positions, got an array of shape {p.shape}")
+    flat = p.reshape(-1, n, 2)
+    size = max(1, _BLOCK_VALUES // max(len(df.graph.edges), len(df.graph.cliques), 1))
+    # range(0, max(S, 1)): an empty stack is one empty block
+    blocks = [_block_errors(df, flat[b : b + size]) for b in range(0, max(len(flat), 1), size)]
+    dist_err, area_err = (np.concatenate(errs).reshape(p.shape[:-2]) for errs in zip(*blocks))
+    if p.ndim == 2:
+        return float(dist_err), float(area_err)
+    return dist_err, area_err
+
+
+def _block_errors(df: DesiredFormation, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """formation_errors' maxima for one block of samples, an (S, n, 2) array."""
     x, y = p[..., 0], p[..., 1]
     u, v, i, j, k, z_star = df._error_index
     # distance(): sqrt(dx * dx + dy * dy) with dx = pu.x - pv.x
@@ -294,6 +314,4 @@ def formation_errors(
     # fmax skips NaN like the scalar ``e > worst`` test; max() would return it
     dist_err = np.fmax.reduce(dist, axis=-1, initial=0.0)
     area_err = np.fmax.reduce(area, axis=-1, initial=0.0)
-    if p.ndim == 2:
-        return float(dist_err), float(area_err)
     return dist_err, area_err

@@ -183,13 +183,17 @@ def config_to_dict(config: ScenarioConfig) -> dict[str, Any]:
 
 
 def _object(value: Any, path: str, required: tuple[str, ...], optional: Iterable[str]) -> dict:
-    """A JSON object with every ``required`` key and no key outside ``required`` or ``optional``."""
+    """A JSON object with every ``required`` key, no key outside ``required`` or
+    ``optional``, and no ``null`` value: an optional field is absent only when
+    its key is."""
     if not isinstance(value, dict):
         raise ConfigError(path or "<root>", f"expected an object, got {type(value).__name__}")
     prefix = f"{path}." if path else ""
-    for key in value:
+    for key, item in value.items():
         if key not in required and key not in optional:
             raise ConfigError(f"{prefix}{key}", "unknown field")
+        if item is None:
+            raise ConfigError(f"{prefix}{key}", "expected a value, got null")
     for key in required:
         if key not in value:
             raise ConfigError(f"{prefix}{key}", "missing required field")
@@ -275,11 +279,10 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
         raise ConfigError("graph", "expected a builtin name or an object")
 
     init = _object(doc["initial"], "initial", (), ("positions", "layout", "seed", "box"))
-    positions, seed = init.get("positions"), init.get("seed")
     initial = InitialSpec(
-        positions=_rows(positions, "initial.positions", _point) if "positions" in init else None,
+        positions=_rows(init["positions"], "initial.positions", _point) if "positions" in init else None,
         layout=init.get("layout"),
-        seed=seed if seed is None else _int(seed, "initial.seed"),
+        seed=_int(init["seed"], "initial.seed") if "seed" in init else None,
         box=_box(init["box"]) if "box" in init else None,
     )
 
@@ -295,7 +298,6 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError("integrator", str(exc)) from exc
 
-    signs = doc.get("z_star_signs")
     return ScenarioConfig(
         graph=graph,
         root_edge=_ints(doc["root_edge"], "root_edge", 2),
@@ -304,7 +306,7 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
         kappa=_number(doc.get("kappa", 1.0), "kappa"),
         initial=initial,
         integrator=integrator,
-        z_star_signs=_ints(signs, "z_star_signs") if signs is not None else None,
+        z_star_signs=_ints(doc["z_star_signs"], "z_star_signs") if "z_star_signs" in doc else None,
     )
 
 

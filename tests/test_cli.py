@@ -167,6 +167,9 @@ MALFORMED = {
     "graph-signs": (("graph", "z_star_signs"), [-1], "graph.z_star_signs"),
     "integrator-unknown": (("integrator", "foo"), 1, "integrator.foo"),
     "edges-null": (("graph", "edges"), None, "graph.edges"),
+    "seed-null": (("initial", "seed"), None, "initial.seed"),
+    "layout-null": (("initial", "layout"), None, "initial.layout"),
+    "signs-null": (("z_star_signs",), None, "z_star_signs"),
     "edges-number": (("graph", "edges"), [1], "graph.edges[0]"),
     "cliques-number": (("graph", "cliques"), [5], "graph.cliques[0]"),
 }
@@ -489,6 +492,49 @@ def test_simulate_csv_bytes_are_pinned(tmp_path, name):
     files = [(out / f).read_bytes() for f in ("trajectory.csv", "metrics.csv")]
     digests = [hashlib.sha256(data).hexdigest() for data in files]
     assert (code, files[0].count(b"\n") - 1, *digests) == GOLDEN[name]
+
+
+# The whole-column writer that _write_trajectory's row blocks replaced, kept
+# as the oracle for its bytes.
+def reference_write_trajectory(out_dir, traj):
+    samples, n, _ = traj.states.shape
+    coords = [f"{axis}_{i}" for i in range(1, n + 1) for axis in "xy"]
+    errors = ["max_dist_err", "max_area_err", "max_u_norm"]
+    with (out_dir / "trajectory.csv").open("w") as traj_f, (out_dir / "metrics.csv").open("w") as met_f:
+        traj_f.write(",".join(["t", *coords, *errors]) + "\n")
+        met_f.write(",".join(["t", *errors]) + "\n")
+        rows = zip(traj.times.tolist(), traj.states.reshape(samples, 2 * n), traj.metrics.tolist())
+        for t, state, metric in rows:
+            head = repr(t)
+            tail = ",".join(map(repr, metric))
+            traj_f.write(f"{head},{','.join(map(repr, state.tolist()))},{tail}\n")
+            met_f.write(f"{head},{tail}\n")
+
+
+def test_trajectory_writer_blocks_match_the_whole_column_writer(tmp_path):
+    n = 3
+    block = triform.graph._BLOCK_VALUES // (2 * n + 4)
+    samples = 3 * block + 17
+    gen = np.random.default_rng(5)
+    states = gen.normal(scale=10.0, size=(samples, n, 2))
+    metrics = gen.exponential(size=(samples, 3))
+    # non-finite values first and last in a block, and one signed zero
+    for row in (0, block - 1, block, 2 * block - 1, samples - 1):
+        states[row, 1] = (math.inf, -math.inf)
+        metrics[row] = (math.nan, math.inf, 0.0)
+    states[block + 1, 2, 0] = -0.0
+    traj = triform.dynamics.Trajectory(times=np.arange(samples) * 1e-3, states=states, metrics=metrics)
+    (tmp_path / "blocks").mkdir()
+    (tmp_path / "columns").mkdir()
+    triform.cli._write_trajectory(tmp_path / "blocks", traj)
+    reference_write_trajectory(tmp_path / "columns", traj)
+    written = {}
+    for name in ("trajectory.csv", "metrics.csv"):
+        written[name] = (tmp_path / "blocks" / name).read_bytes()
+        assert written[name] == (tmp_path / "columns" / name).read_bytes()
+        assert written[name].count(b"\n") == samples + 1
+    assert b",inf,-inf," in written["trajectory.csv"] and b",-0.0," in written["trajectory.csv"]
+    assert written["metrics.csv"].count(b",nan,inf,0.0\n") == 5
 
 
 @pytest.mark.parametrize(

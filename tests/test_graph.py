@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from triform import (
     validate_triangulated_laman,
 )
 
+import triform.graph as graph_module
 from triform.dynamics import ARRAY_MIN_AGENTS
 
 from conftest import grow_henneberg, grown_formation, random_rigid_motion
@@ -284,6 +286,49 @@ def test_formation_errors_skip_nan_like_the_loop():
     assert float_bits(dist_err) == float_bits([e[0] for e in expected])
     assert float_bits(area_err) == float_bits([e[1] for e in expected])
     assert area_err[0] == 0.0
+
+
+def test_formation_errors_in_blocks_match_the_loop():
+    # Three blocks of samples plus a remainder, with the overflowing sample
+    # of the test above first and last in a block.
+    df = triangle_formation()
+    block = graph_module._BLOCK_VALUES // 3  # three edges, one clique
+    gen = np.random.default_rng(11)
+    stack = gen.normal(scale=2.0, size=(3 * block + 17, 3, 2))
+    far = [(0.0, 0.0), (1e200, 1e200), (1e200, 1e200)]
+    for s in (0, block - 1, block, 2 * block - 1, 3 * block):
+        stack[s] = far
+    expected = [reference_formation_errors(df, as_positions(s)) for s in stack]
+    dist_err, area_err = formation_errors(df, stack)
+    assert float_bits(dist_err) == float_bits([e[0] for e in expected])
+    assert float_bits(area_err) == float_bits([e[1] for e in expected])
+    assert (dist_err[block], area_err[block]) == (math.inf, 0.0)
+    # two leading axes whose flattened samples cross the block boundaries
+    half = len(stack) // 2
+    dist_err, area_err = formation_errors(df, stack[: 2 * half].reshape(2, half, 3, 2))
+    assert dist_err.shape == area_err.shape == (2, half)
+    assert float_bits(dist_err) == float_bits([e[0] for e in expected[: 2 * half]])
+    assert float_bits(area_err) == float_bits([e[1] for e in expected[: 2 * half]])
+    # an empty stack is one empty block
+    for empty in (stack[:0], stack[:0].reshape(2, 0, 3, 2)):
+        assert [e.shape for e in formation_errors(df, empty)] == [empty.shape[:-2]] * 2
+
+
+def test_formation_errors_of_a_long_stack_stay_small(rng):
+    # 4,000 samples of 67 agents are a 4.3 MB stack; evaluated whole, each
+    # (samples x edges) temporary alone would take 4.2 MB.
+    _, df, plan = grown_formation(rng, ARRAY_MIN_AGENTS + 7)
+    target = np.array([q.as_tuple() for q in target_positions(plan, df)])
+    stack = target + np.random.default_rng(3).normal(scale=0.1, size=(4000, df.graph.n, 2))
+    formation_errors(df, stack[:1])  # builds the cached edge and clique index
+    tracemalloc.start()
+    try:
+        dist_err, area_err = formation_errors(df, stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dist_err.shape == area_err.shape == (4000,)
+    assert peak < 1_000_000
 
 
 def test_formation_errors_without_cliques_report_zero_area_error():
