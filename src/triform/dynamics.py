@@ -327,7 +327,7 @@ def run(p, u, *, {params}):
 """
 
 # The numpy bodies: whole-array statements on float64 p, u and stages k2-k4.
-_ARRAY_NORM = ["gmax2 = float(np.max(u[0::2] * u[0::2] + u[1::2] * u[1::2]))"]
+_ARRAY_NORM = ["gmax2 = float((u[0::2] * u[0::2] + u[1::2] * u[1::2]).max())"]
 _ARRAY_ADVANCE = {
     "rk4": [
         "field(p + half * u, k2)",
@@ -337,7 +337,7 @@ _ARRAY_ADVANCE = {
     ],
     "euler": ["p += dt * u"],
 }
-_ARRAY_WORST = "worst = float(np.max(np.abs(p)))"
+_ARRAY_WORST = "worst = float(np.abs(p).max())"
 
 
 @lru_cache(maxsize=32)

@@ -53,65 +53,62 @@ class FormationGraph:
             u, v = int(e[0]), int(e[1])
             if u == v:
                 raise GraphSpecError(f"self-loop on agent {u}")
-            norm_edges.add(_canonical_edge(u, v))
+            norm_edges.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "edges", frozenset(norm_edges))
-        object.__setattr__(self, "cliques", tuple(tuple(int(a) for a in c) for c in cliques))
+        object.__setattr__(self, "cliques", tuple(tuple(map(int, c)) for c in cliques))
         self._validate()
 
     def _validate(self) -> None:
-        if self.n < 1:
-            raise GraphSpecError(f"agent count must be >= 1, got {self.n}")
+        n = self.n
+        if n < 1:
+            raise GraphSpecError(f"agent count must be >= 1, got {n}")
+        adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
         for u, v in self.edges:
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise GraphSpecError(f"edge ({u}, {v}) references agents outside 1..{self.n}")
-        index: dict[frozenset[int], int] = {}
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise GraphSpecError(f"edge ({u}, {v}) references agents outside 1..{n}")
+            adj[u].add(v)
+            adj[v].add(u)
+        adj = {v: frozenset(nbrs) for v, nbrs in adj.items()}  # shared by every caller
+        object.__setattr__(self, "_adjacency", adj)
+        index: dict[tuple[int, ...], int] = {}  # sorted-tuple keys: a third of a frozenset's memory
         for i, c in enumerate(self.cliques):
-            if len(c) != 3 or len(set(c)) != 3:
+            key = tuple(sorted(c))
+            if len(c) != 3 or not key[0] < key[1] < key[2]:
                 raise GraphSpecError(f"clique {c} must have three distinct agents")
-            for a in c:
-                if not 1 <= a <= self.n:
-                    raise GraphSpecError(f"clique {c} references agents outside 1..{self.n}")
-            for u, v in combinations(c, 2):
-                if _canonical_edge(u, v) not in self.edges:
+            a, b, d = c
+            if not (1 <= a <= n and 1 <= b <= n and 1 <= d <= n):
+                raise GraphSpecError(f"clique {c} references agents outside 1..{n}")
+            for u, v in ((a, b), (a, d), (b, d)):
+                if v not in adj[u]:
                     raise GraphSpecError(f"clique {c} misses edge ({u}, {v})")
-            key = frozenset(c)
             if key in index:
-                raise GraphSpecError(f"clique {tuple(sorted(c))} listed twice")
+                raise GraphSpecError(f"clique {key} listed twice")
             index[key] = i
-        # Re-derive the triangle set from the edges; the stored list must
-        # cover it exactly, so scenario typos cannot drop or invent cliques.
-        actual = self._triangles()
-        if index.keys() != actual:
-            missing = sorted(tuple(sorted(t)) for t in actual - index.keys())
-            extra = sorted(tuple(sorted(t)) for t in index.keys() - actual)
+        # The stored list must cover the graph's triangles exactly, so scenario
+        # typos cannot drop or invent cliques.  Every clique is a distinct
+        # triangle by now, and each triangle shows up once per edge as a common
+        # neighbour, so counting suffices; the sets are built only to report.
+        if sum(len(adj[u] & adj[v]) for u, v in self.edges) != 3 * len(index):
+            actual = {tuple(sorted((u, v, w))) for u, v in self.edges for w in adj[u] & adj[v]}
             raise GraphSpecError(
-                f"clique list does not match the graph's triangles: missing {missing}, extra {extra}"
+                "clique list does not match the graph's triangles: "
+                f"missing {sorted(actual - index.keys())}, extra {sorted(index.keys() - actual)}"
             )
         object.__setattr__(self, "_clique_index", index)
 
-    def _triangles(self) -> set[frozenset[int]]:
-        adj = self.adjacency()
-        tris: set[frozenset[int]] = set()
-        for u, v in self.edges:
-            for w in adj[u] & adj[v]:
-                tris.add(frozenset((u, v, w)))
-        return tris
-
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+    def adjacency(self) -> dict[int, frozenset[int]]:
+        """Each agent's neighbours, computed once at construction; a new dict
+        over the same frozensets on every call."""
+        return dict(self._adjacency)
 
     def has_edge(self, u: int, v: int) -> bool:
         return _canonical_edge(u, v) in self.edges
 
     def clique_index(self, agents: Iterable[int]) -> int:
         """Index into ``cliques`` of the triangle with these three agents."""
-        key = frozenset(agents)
+        key = tuple(sorted(agents))
         if key not in self._clique_index:
-            raise KeyError(f"no clique over agents {tuple(sorted(key))}")
+            raise KeyError(f"no clique over agents {tuple(sorted(set(key)))}")
         return self._clique_index[key]
 
 

@@ -84,30 +84,30 @@ def build_hierarchy(graph: FormationGraph, root_edge: tuple[int, int]) -> Hierar
     label if a base would otherwise sit higher).  Labels are descriptive; the
     processing order is what carries the acyclic dependency structure.
     """
-    check = validate_triangulated_laman(graph)
-    if not check.ok:
-        raise HierarchyError(f"graph is not triangulated-constructible: {check.violation}")
     root, pair = int(root_edge[0]), int(root_edge[1])
-    if not graph.has_edge(root, pair):
-        raise HierarchyError(f"root edge ({root}, {pair}) is not in the graph")
-
     adj = graph.adjacency()
-    hops = _hop_distances(adj, root)
-    order = growth_order(adj, (root, pair))
+    # A growth from the root edge that places every agent certifies the graph
+    # as well; the full validation runs only to explain a refusal.
+    order = growth_order(adj, (root, pair)) if graph.has_edge(root, pair) else []
     if len(order) < graph.n:
+        check = validate_triangulated_laman(graph)
+        if not check.ok:
+            raise HierarchyError(f"graph is not triangulated-constructible: {check.violation}")
+        if not order:
+            raise HierarchyError(f"root edge ({root}, {pair}) is not in the graph")
         stuck = min(set(adj).difference(order))
         raise HierarchyError(
             f"agent {stuck} has no pair of adjacent assigned neighbours; "
             f"the graph is not constructible from root edge ({root}, {pair})"
         )
+    hops = _hop_distances(adj, root)
     layer_of = {root: 1, pair: 2}
     triangles = []
     for agent in order[2:]:
-        assigned = [a for a in adj[agent] if a in layer_of]
-        base = min(
-            ((a, b) for a, b in combinations(assigned, 2) if b in adj[a]),
-            key=lambda ab: sorted((layer_of[x], x) for x in ab),
-        )
+        # Combinations of a sorted list come in key order, so the first
+        # adjacent pair is the one with the smallest (layer, index) agents.
+        ranked = sorted((layer_of[a], a) for a in adj[agent] if a in layer_of)
+        base = next((a, b) for (_, a), (_, b) in combinations(ranked, 2) if b in adj[a])
         ci = graph.clique_index((base[0], base[1], agent))
         base1, base2 = _oriented_base(graph.cliques[ci], agent)
         layer_of[agent] = max(2 + hops[agent], layer_of[base1], layer_of[base2])

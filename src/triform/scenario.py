@@ -15,8 +15,9 @@ import random
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
+from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from .dynamics import IntegratorConfig
 from .geometry import Position
@@ -219,14 +220,8 @@ def _ints(values: Any, path: str, count: int | None = None) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _rows(values: Any, path: str, row: Callable[[Any, str], Any]) -> tuple[Any, ...]:
-    """A list whose entries (edges, cliques, positions) ``row`` parses at ``{path}[i]``."""
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(path, f"expected a list, got {values!r}")
-    return tuple(row(v, f"{path}[{i}]") for i, v in enumerate(values))
-
-
 _FLOAT_MAX = sys.float_info.max
+_LISTS, _INTS, _NUMBERS = frozenset((list, tuple)), frozenset((int,)), frozenset((int, float))
 
 
 def _is_number(value: Any) -> bool:
@@ -248,6 +243,27 @@ def _point(value: Any, path: str) -> tuple[float, float]:
     return _number(value[0], path), _number(value[1], path)
 
 
+def _rows(values: Any, path: str, width: int, numbers: bool = False) -> tuple:
+    """A list of ``width``-entry rows of integers (edges, cliques), or of finite
+    numbers kept as floats (positions), the i-th refused as ``{path}[i]``.
+
+    A list of plain lists whose entries all pass is parsed in bulk; only
+    another list is parsed row by row, so a path is formatted only where an
+    entry may be refused.
+    """
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(path, f"expected a list, got {values!r}")
+    if (
+        {type(v) for v in values} <= _LISTS
+        and {len(v) for v in values} <= {width}
+        and (_NUMBERS if numbers else _INTS).issuperset(map(type, flat := list(chain.from_iterable(values))))
+        and all(map(_FLOAT_MAX.__ge__, map(abs, flat)))
+    ):
+        return tuple(tuple(map(float, v)) for v in values) if numbers else tuple(map(tuple, values))
+    row = _point if numbers else partial(_ints, count=width)
+    return tuple(row(v, f"{path}[{i}]") for i, v in enumerate(values))
+
+
 def _box(values: Any) -> tuple[float, float, float, float]:
     """``initial.box``: four numbers with finite x and y spans, kept as given."""
     ok = isinstance(values, (list, tuple)) and len(values) == 4 and all(map(_is_number, values))
@@ -267,8 +283,8 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
     if isinstance(graph, dict):
         raw_graph = _object(graph, "graph", ("n", "edges"), ("cliques",))
         n = _int(raw_graph["n"], "graph.n")
-        edges = _rows(raw_graph["edges"], "graph.edges", partial(_ints, count=2))
-        cliques = _rows(raw_graph.get("cliques", []), "graph.cliques", partial(_ints, count=3))
+        edges = _rows(raw_graph["edges"], "graph.edges", 2)
+        cliques = _rows(raw_graph.get("cliques", []), "graph.cliques", 3)
         if n > 2 * len(edges):  # every agent lies on an edge
             raise ConfigError("graph.n", f"{n} agents cannot all lie on {len(edges)} edges")
         try:
@@ -280,7 +296,7 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
 
     init = _object(doc["initial"], "initial", (), ("positions", "layout", "seed", "box"))
     initial = InitialSpec(
-        positions=_rows(init["positions"], "initial.positions", _point) if "positions" in init else None,
+        positions=_rows(init["positions"], "initial.positions", 2, numbers=True) if "positions" in init else None,
         layout=init.get("layout"),
         seed=_int(init["seed"], "initial.seed") if "seed" in init else None,
         box=_box(init["box"]) if "box" in init else None,

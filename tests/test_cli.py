@@ -219,6 +219,54 @@ def test_simulate_rejects_deeply_nested_document(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
+def hex_patch_document():
+    """The benchmark's 469-agent lattice patch as a scenario document."""
+    positions, edges, cliques = load_perfbench("workloads").hex_patch(12)
+    return {
+        "graph": {"n": len(positions), "edges": edges, "cliques": cliques},
+        "root_edge": [1, 2],
+        "d_star": 2.0,
+        "k_gain": 20.0,
+        "initial": {"positions": [list(p) for p in positions]},
+    }
+
+
+@pytest.mark.parametrize(
+    "key, index, row, error",
+    [
+        ("edges", -1, [1, True], "graph.edges[1331]: expected a list of 2 integers, got [1, True]"),
+        ("cliques", -1, [1, 2, 3.0], "graph.cliques[863]: expected a list of 3 integers, got [1, 2, 3.0]"),
+        ("cliques", 500, (1, 2), "graph.cliques[500]: expected a list of 3 integers, got (1, 2)"),
+        ("positions", -1, [0.0, math.nan], "initial.positions[468]: expected a finite number, got nan"),
+        ("positions", 200, [10**400, 0], f"initial.positions[200]: expected a finite number, got {10**400}"),
+    ],
+    ids=["last-edge", "last-clique", "short-clique", "nan-position", "huge-integer-position"],
+)
+def test_refused_row_late_in_a_long_list_is_named(key, index, row, error):
+    doc = hex_patch_document()
+    config = config_from_dict(doc)
+    assert len(config.graph.edges) == 1332 and len(config.graph.cliques) == 864
+    assert all(type(x) is float for p in config.initial.positions for x in p)
+    rows = doc["initial"]["positions"] if key == "positions" else doc["graph"][key]
+    rows[index] = row
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(doc)
+    assert str(err.value) == error
+
+
+def test_rows_parsed_one_by_one_are_accepted_as_in_bulk():
+    # Entries that the bulk check leaves to the row parser, but that the row
+    # parser accepts: a list subclass, and an integer beyond float range.
+    doc = hex_patch_document()
+    expected = config_from_dict(doc)
+    doc["initial"]["positions"][7] = type("Row", (list,), {})(doc["initial"]["positions"][7])
+    assert config_from_dict(doc) == expected
+    doc["graph"]["edges"][-1] = [1, 10**400]
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(doc)
+    assert str(err.value) == f"graph: edge (1, {10**400}) references agents outside 1..469"
+
+
 def test_agent_count_bounded_by_edges_before_graph_is_built():
     doc = valid_document()
     doc["graph"] = {"n": 10**12, "edges": [[1, 2]]}
@@ -893,12 +941,16 @@ def test_sweep_gain_empty_grid_leaves_fraction_blank(tmp_path):
 # benchmark hooks: perfbench/tracer.py wraps these module attributes
 # ---------------------------------------------------------------------------
 
-def load_tracer():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+def load_perfbench(name):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load_perfbench("tracer")
 
 
 def test_tracer_call_sites_resolve():

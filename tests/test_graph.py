@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -63,6 +64,65 @@ def test_graph_rejects_self_loop_and_bad_index():
         FormationGraph(2, [(1, 1)], [])
     with pytest.raises(GraphSpecError):
         FormationGraph(2, [(1, 3)], [])
+
+
+def reference_clique_errors(n, edges, cliques):
+    """The clique checks as made before the cover was counted: every clique's
+    edges present, no clique listed twice, then the listed triangle set
+    compared with the one derived from the edges.  The error text, or None."""
+    adj = {v: set() for v in range(1, n + 1)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    listed = set()
+    for c in cliques:
+        for u, v in combinations(c, 2):
+            if v not in adj[u]:
+                return f"clique {c} misses edge ({u}, {v})"
+        if frozenset(c) in listed:
+            return f"clique {tuple(sorted(c))} listed twice"
+        listed.add(frozenset(c))
+    actual = {frozenset((u, v, w)) for u, v in edges for w in adj[u] & adj[v]}
+    if listed == actual:
+        return None
+    missing = sorted(tuple(sorted(t)) for t in actual - listed)
+    extra = sorted(tuple(sorted(t)) for t in listed - actual)
+    return f"clique list does not match the graph's triangles: missing {missing}, extra {extra}"
+
+
+def test_clique_cover_count_matches_the_set_comparison():
+    # Relabelled growth graphs, intact, with one clique dropped, with one
+    # non-triangle clique added, or with one chord that closes unlisted
+    # triangles: the counting check accepts and refuses exactly as the set
+    # comparison does, with the same text.
+    rng = random.Random(41)
+    outcomes = set()
+    for i in range(120):
+        n = rng.randrange(4, 40)
+        edges, cliques = grow_henneberg(rng, n)
+        perm = rng.sample(range(1, n + 1), n)
+        edges = [(perm[u - 1], perm[v - 1]) for u, v in edges]
+        cliques = [tuple(perm[a - 1] for a in c) for c in cliques]
+        if i % 4 == 1:
+            del cliques[rng.randrange(len(cliques))]
+        elif i % 4 == 2:
+            u, v = edges[rng.randrange(len(edges))]
+            w = rng.choice([x for x in range(1, n + 1) if x not in (u, v)])
+            cliques.insert(rng.randrange(len(cliques) + 1), (u, v, w))
+        elif i % 4 == 3:
+            u, v = rng.sample(range(1, n + 1), 2)
+            edges.append((u, v))
+        expected = reference_clique_errors(n, {tuple(sorted(e)) for e in edges}, cliques)
+        try:
+            FormationGraph(n, edges, cliques)
+        except GraphSpecError as exc:
+            assert str(exc) == expected
+            outcomes.add(next(k for k in ("misses edge", "twice", "does not match") if k in str(exc)))
+        else:
+            assert expected is None
+            outcomes.add("accepted")
+    # an added triple that is a triangle already is listed twice
+    assert outcomes == {"accepted", "misses edge", "twice", "does not match"}
 
 
 def test_desired_formation_defaults_and_validation():

@@ -18,6 +18,7 @@ from triform import (
     validate_triangulated_laman,
 )
 import triform.graph
+import triform.hierarchy
 from triform.graph import growth_order
 from triform.hierarchy import TriangleAssignment
 
@@ -170,6 +171,63 @@ def test_validation_skips_seeds_inside_an_earlier_growth(monkeypatch):
         f"(best ordering covers {n} of {n + 1} agents)"
     )
     assert seeds == [(1, 2), (n, n + 1)]
+
+
+def test_accepted_graph_grows_once_without_validation(monkeypatch):
+    # The growth from the root edge is itself the certificate, so an accepted
+    # graph never runs the all-seeds validation; a refused one still does.
+    rng = random.Random(36)
+    graph = relabelled_graph(rng, 60, grow_henneberg(rng, 60)[0])
+    seeds, checked = [], []
+
+    def grow(adj, seed):
+        seeds.append(seed)
+        return growth_order(adj, seed)
+
+    def validate(g):
+        checked.append(g)
+        return validate_triangulated_laman(g)
+
+    for module in (triform.graph, triform.hierarchy):
+        monkeypatch.setattr(module, "growth_order", grow)
+    monkeypatch.setattr(triform.hierarchy, "validate_triangulated_laman", validate)
+    root = next(random_roots(rng, graph, 1))
+    plan = build_hierarchy(graph, root)
+    assert (plan.root, plan.pair, plan.triangles) == rescan_plan(graph, *root)
+    assert (seeds, checked) == ([root], [])
+
+    # Not constructible and no root edge: the validator's reason comes first.
+    cycle = FormationGraph(4, [(1, 2), (2, 3), (3, 4), (1, 4)], [])
+    seeds.clear()
+    try:
+        build_hierarchy(cycle, (1, 3))
+    except HierarchyError as exc:
+        assert str(exc) == rescan_plan(cycle, 1, 3)
+        assert str(exc).startswith("graph is not triangulated-constructible: ")
+    else:
+        raise AssertionError("the 4-cycle was accepted")
+    # only the validator grows, once from every edge; the absent root has none
+    assert checked == [cycle] and seeds == sorted(cycle.edges)
+
+
+def test_missing_root_edge_reported_after_validation():
+    rng = random.Random(37)
+    refused = set()
+    for graph in random_graphs(rng, 60):
+        absent = [(u, v) for u, v in combinations(range(1, graph.n + 1), 2) if not graph.has_edge(u, v)]
+        if not absent:
+            continue
+        root = absent[rng.randrange(len(absent))]
+        ok = rescan_validation(graph)[0]
+        expected = f"root edge {root} is not in the graph" if ok else rescan_plan(graph, *root)
+        try:
+            build_hierarchy(graph, root)
+        except HierarchyError as exc:
+            assert str(exc) == expected
+            refused.add(ok)
+        else:
+            raise AssertionError(f"root {root} off the graph was accepted")
+    assert refused == {True, False}  # both texts were exercised
 
 
 def test_hierarchy_build_matches_rescan():
