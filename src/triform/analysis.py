@@ -291,3 +291,28 @@ def match_equilibrium(equilibria: list[Equilibrium], point: Position) -> Equilib
             best, best_d = eq, d
     return best
 
+
+def judge_triangle(equilibria, d_star: float, base1: Position, base2: Position, apex: Position) -> dict:
+    """Where a triangle's apex ended: the one label of ``basin`` cells and ``simulate`` runs.
+
+    The base is ordered so that the target apex lies on its positive side, as
+    the catalogue's does.  ``equilibria`` is the catalogue for a = d_star/2,
+    or the ValueError raised building it.  A match gives ``matched``,
+    ``stability``, ``in_target_set`` and ``canonical_xy``; otherwise
+    ``matched`` is None and ``detail`` says why.
+    """
+    # Checked before aligning: coincident base agents have no canonical frame.
+    if abs(math.dist(base1.as_tuple(), base2.as_tuple()) - d_star) > 1e-6 * d_star:
+        return {"matched": None, "detail": "base agents did not settle at d_star"}
+    if isinstance(equilibria, ValueError):  # d_star beyond the catalogue's float range
+        return {"matched": None, "detail": str(equilibria)}
+    _, pk = align_to_pinned_frame(base1, base2, apex)
+    match = match_equilibrium(equilibria, pk)
+    if match is None:
+        return {"matched": None, "detail": "no equilibrium within 1e-4"}
+    return {
+        "matched": match.family,
+        "stability": match.stability,
+        "in_target_set": match.family == FAMILY_APEX,
+        "canonical_xy": [pk.x, pk.y],
+    }

@@ -23,15 +23,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    FAMILY_APEX,
-    K_LOW,
-    STABLE,
-    align_to_pinned_frame,
-    classify_gain,
-    enumerate_triangle_equilibria,
-    match_equilibrium,
-)
+from .analysis import K_LOW, STABLE, classify_gain, enumerate_triangle_equilibria, judge_triangle
 from .dynamics import (
     CONVERGED,
     DIVERGED,
@@ -131,6 +123,8 @@ def _parse_k_range(text: str) -> list[float]:
         raise ConfigError("--k-range", f"expected START:STOP:STEP, got {text!r}") from exc
     if not (step > 0 and 0 < start <= stop < math.inf):
         raise ConfigError("--k-range", f"need step > 0 and 0 < start <= stop < inf, got {text!r}")
+    if start == stop:  # one gain, however small the step (one that cannot advance k too)
+        return [float(f"{start:.12g}")]
     out = []
     k = start
     # Slack and rounding are relative: an absolute 1e-12 would round gains
@@ -187,7 +181,7 @@ def cmd_simulate(args: argparse.Namespace) -> Run:
         }
         if result.diverged_at is not None:
             manifest["diverged_at"] = result.diverged_at
-        if scenario.plan.graph.n == 3 and result.reason == CONVERGED:
+        if result.reason == CONVERGED and scenario.plan.triangles:
             manifest["terminal_equilibrium"] = _terminal_equilibrium(scenario, result.final_positions())
         print(f"{result.reason}: t={result.t_final:.3f} max_dist_err={dist_err:.3e} max_area_err={area_err:.3e}")
         return _REASON_EXIT[result.reason], manifest
@@ -196,33 +190,22 @@ def cmd_simulate(args: argparse.Namespace) -> Run:
 
 
 def _terminal_equilibrium(scenario, final: list[Position]) -> dict[str, Any]:
-    """Label a converged 3-agent run against the pinned equilibrium catalogue.
-
-    The triangle agent is the apex; its base is ordered so that the target
-    has positive signed area, where the catalogue's correct apex lies.
-    """
-    (tri,) = scenario.plan.triangles
-    base1, base2, apex = (final[i - 1] for i in (tri.base1, tri.base2, tri.agent))
-    if scenario.formation.z_star_signs[tri.clique_index] < 0:
-        base1, base2 = base2, base1
+    """Judge the plan's triangles in processing order, each apex over its base
+    ordered by the clique's sign; the verdict on the first triangle off its
+    target set, else on the last."""
     d = scenario.formation.d_star
-    # Checked before aligning: coincident base agents have no canonical frame.
-    if abs(math.dist(base1.as_tuple(), base2.as_tuple()) - d) > 1e-6 * d:
-        return {"matched": None, "detail": "base agents did not settle at d_star"}
-    _, pk = align_to_pinned_frame(base1, base2, apex)
     try:
         eqs = enumerate_triangle_equilibria(0.5 * d, scenario.config.k_gain)
-    except ValueError as exc:  # d_star beyond the catalogue's float range
-        return {"matched": None, "detail": str(exc)}
-    match = match_equilibrium(eqs, pk)
-    if match is None:
-        return {"matched": None, "detail": "no equilibrium within 1e-4"}
-    return {
-        "matched": match.family,
-        "stability": match.stability,
-        "in_target_set": match.family == FAMILY_APEX,
-        "canonical_xy": [pk.x, pk.y],
-    }
+    except ValueError as exc:  # judged after the base check, as the detail of a settled triangle
+        eqs = exc
+    for tri in scenario.plan.triangles:
+        base1, base2, apex = (final[i - 1] for i in (tri.base1, tri.base2, tri.agent))
+        if scenario.formation.z_star_signs[tri.clique_index] < 0:
+            base1, base2 = base2, base1
+        verdict = judge_triangle(eqs, d, base1, base2, apex)
+        if not verdict.get("in_target_set"):
+            break
+    return verdict
 
 
 def cmd_analyze(args: argparse.Namespace) -> Run:

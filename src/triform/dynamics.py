@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import FAMILY_APEX, match_equilibrium
+from .analysis import judge_triangle
 from .geometry import Position
 from .graph import DesiredFormation, formation_errors
 from .hierarchy import HierarchyPlan
@@ -441,12 +441,12 @@ def probe_points(
     """Run one pinned-triangle probe per point and label the terminal state.
 
     Agents 1 and 2 start on the pins (-a, 0) and (a, 0) with a = d_star/2 and
-    never move; agent 3 starts at the point.  Each terminal point is matched
-    against ``equilibria``: "correct" for the target apex, "incorrect" for
-    any other equilibrium, "unresolved" when nothing matches within 1e-4 or
-    the run did not converge.  An error raised by one cell's run propagates
-    and aborts the sweep.  Distinct points are independent, so callers may
-    split them across worker processes.
+    never move; agent 3 starts at the point.  Each converged run is judged by
+    :func:`~triform.analysis.judge_triangle` over the pins: "correct" for the
+    target apex, "incorrect" for any other equilibrium, "unresolved" when
+    nothing matches within 1e-4 or the run did not converge.  An error
+    raised by one cell's run propagates and aborts the sweep.  Distinct
+    points are independent, so callers may split them across worker processes.
     """
     if plan.graph.n != 3:
         raise ValueError(f"basin probe needs the pinned 3-agent scenario, got n={plan.graph.n}")
@@ -459,10 +459,10 @@ def probe_points(
         label = LABEL_UNRESOLVED
         family = None
         if result.converged:
-            best = match_equilibrium(equilibria, Position(fx, fy))
-            if best is not None:
-                family = best.family
-                label = LABEL_CORRECT if family == FAMILY_APEX else LABEL_INCORRECT
+            verdict = judge_triangle(equilibria, df.d_star, *pins, Position(fx, fy))
+            family = verdict["matched"]
+            if family is not None:
+                label = LABEL_CORRECT if verdict["in_target_set"] else LABEL_INCORRECT
         cells.append(
             BasinCell(
                 ix=ix,

@@ -89,10 +89,10 @@ class FormationGraph:
         # triangle by now, and each triangle shows up once per edge as a common
         # neighbour, so counting suffices; the sets are built only to report.
         if sum(len(adj[u] & adj[v]) for u, v in self.edges) != 3 * len(index):
+            # Never any extra: each clique was checked above to be a distinct graph triangle.
             actual = {tuple(sorted((u, v, w))) for u, v in self.edges for w in adj[u] & adj[v]}
             raise GraphSpecError(
-                "clique list does not match the graph's triangles: "
-                f"missing {sorted(actual - index.keys())}, extra {sorted(index.keys() - actual)}"
+                f"clique list does not match the graph's triangles: missing {sorted(actual - index.keys())}, extra []"
             )
         object.__setattr__(self, "_clique_index", index)
 

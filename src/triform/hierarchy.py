@@ -109,7 +109,11 @@ def build_hierarchy(graph: FormationGraph, root_edge: tuple[int, int]) -> Hierar
         ranked = sorted((layer_of[a], a) for a in adj[agent] if a in layer_of)
         base = next((a, b) for (_, a), (_, b) in combinations(ranked, 2) if b in adj[a])
         ci = graph.clique_index((base[0], base[1], agent))
-        base1, base2 = _oriented_base(graph.cliques[ci], agent)
+        # The stored clique rotated until the agent is last: a cyclic rotation
+        # keeps the clique's signed-area orientation, so its stored sign holds.
+        clique = graph.cliques[ci]
+        i = clique.index(agent)
+        base1, base2 = clique[i - 2], clique[i - 1]
         layer_of[agent] = max(2 + hops[agent], layer_of[base1], layer_of[base2])
         triangles.append(TriangleAssignment(agent, base1, base2, ci, layer_of[agent]))
     return HierarchyPlan(graph=graph, root=root, pair=pair, triangles=tuple(triangles))
@@ -125,23 +129,6 @@ def _hop_distances(adj: dict[int, set[int]], source: int) -> dict[int, int]:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
-
-
-def _oriented_base(clique: tuple[int, int, int], agent: int) -> tuple[int, int]:
-    """Rotate the stored clique cyclically until ``agent`` is last.
-
-    Cyclic rotation preserves the signed-area orientation, so the returned
-    (base1, base2) keep the clique's stored sign with the agent in the third
-    slot.
-    """
-    a, b, c = clique
-    if c == agent:
-        return a, b
-    if a == agent:
-        return b, c
-    if b == agent:
-        return c, a
-    raise ValueError(f"agent {agent} is not part of clique {clique}")
 
 
 def control_field(

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib.util
 import json
@@ -403,6 +404,68 @@ def test_simulate_unlabelled_terminal_triangle_still_writes_its_manifest(tmp_pat
     assert manifest["terminal_equilibrium"] == label
 
 
+@pytest.mark.parametrize("name", ["paper10-two-columns-k20", "paper10-random-k20"])
+def test_shipped_paper10_runs_report_that_they_reached_the_shape(tmp_path, name):
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--config", SCENARIOS / f"{name}.json", "--out-dir", out) == 0
+    label = strict_manifest(out)["terminal_equilibrium"]
+    assert (label["matched"], label["in_target_set"]) == ("apex-correct", True)
+
+
+def test_paper10_flip_at_low_gain_is_named_although_the_flow_converges(tmp_path):
+    # From this random layout K=0.3 traps a clique on its mirror side: the run
+    # converges (exit 0) with a large area error, and the first triangle off
+    # its target names the flipped equilibrium.
+    cfg = make_builtin_scenario("paper-10", k_gain=0.3, initial=InitialSpec(seed=1, box=(0.0, 10.0, 0.0, 10.0)))
+    cfg_path = tmp_path / "p10.json"
+    save_scenario(cfg, cfg_path)
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--config", cfg_path, "--out-dir", out) == 0
+    manifest = strict_manifest(out)
+    assert manifest["termination_reason"] == "converged"
+    assert manifest["final_max_area_err"] > 1.0
+    label = manifest["terminal_equilibrium"]
+    assert (label["matched"], label["in_target_set"]) == ("below-axis", False)
+
+
+def test_pair_run_has_no_triangle_to_label(tmp_path):
+    doc = {
+        "graph": {"n": 2, "edges": [[1, 2]]},
+        "root_edge": [1, 2],
+        "d_star": 2.0,
+        "k_gain": 20.0,
+        "initial": {"positions": [[0.0, 0.0], [1.0, 0.5]]},
+    }
+    cfg_path = tmp_path / "pair.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--config", cfg_path, "--out-dir", out) == 0
+    manifest = strict_manifest(out)
+    assert manifest["termination_reason"] == "converged"
+    assert "terminal_equilibrium" not in manifest
+
+
+@pytest.mark.parametrize("k_gain", [0.6, 20.0])
+def test_basin_cells_and_simulate_share_one_judge(tmp_path, k_gain):
+    # A basin cell is the 3-agent simulate from the pins plus the cell's start
+    # with the same integrator, and both are labelled by one judge.
+    assert run_cli("basin", "--k", k_gain, "--grid", "3x3", "--out-dir", tmp_path / "basin") == 0
+    with open(tmp_path / "basin" / "basin.csv", newline="") as fh:
+        cells = list(csv.DictReader(fh))
+    assert len(cells) == 9
+    for cell in cells:
+        start = ((-1.0, 0.0), (1.0, 0.0), (float(cell["x0"]), float(cell["y0"])))
+        cfg = triangle_config(k_gain=k_gain, initial=InitialSpec(positions=start), integrator=IntegratorConfig())
+        cfg_path = tmp_path / "tri.json"
+        save_scenario(cfg, cfg_path)
+        out = tmp_path / f"cell-{cell['ix']}-{cell['iy']}"
+        run_cli("simulate", "--config", cfg_path, "--out-dir", out)
+        manifest = strict_manifest(out)
+        assert manifest["termination_reason"] == cell["reason"]
+        label = manifest.get("terminal_equilibrium", {"matched": None})
+        assert (label["matched"] or "") == cell["matched_family"]
+
+
 def test_simulate_config_error_exit_code_and_manifest_only(tmp_path):
     doc = config_to_dict(triangle_config())
     doc["k_gain"] = -1.0
@@ -705,12 +768,20 @@ def test_analyze_requires_a_gain(tmp_path):
         ("1e-12:1e-12:1e-12", [1e-12]),
         ("3e-12:3e-12:1e-13", [3e-12]),
         ("2e-13:5e-13:1e-13", [2e-13, 3e-13, 4e-13, 5e-13]),
+        ("1:1:1e-13", [1.0]),
+        ("1:1:1e-17", [1.0]),
     ],
 )
 def test_k_range_keeps_tiny_gains_and_stops_at_stop(tmp_path, k_range, gains):
     out = tmp_path / "rep"
     assert run_cli("analyze", "--k-range", k_range, "--out-dir", out) == 0
     assert strict_manifest(out)["gains"] == gains
+
+
+def test_sweep_gain_one_gain_range_takes_a_step_that_cannot_advance_it(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("sweep-gain", "--k-range", "1:1:1e-17", "--grid", "1x1", "--out-dir", out) == 0
+    assert strict_manifest(out)["gains"] == [1.0]
 
 
 # ---------------------------------------------------------------------------
