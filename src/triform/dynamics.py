@@ -16,7 +16,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Container, Sequence
 
 import numpy as np
 
@@ -161,10 +161,12 @@ def simulate(
         p, u = np.array(p), np.zeros(2 * n)
         names.update(np=np, k2=np.zeros(2 * n), k3=np.zeros(2 * n), k4=np.zeros(2 * n))
         bodies = [], _ARRAY_NORM, [*_ARRAY_ADVANCE[cfg.method], _ARRAY_WORST]
+        field_eval(p, u)
     else:
         u = [0.0] * (2 * n)
         names.update(field_names(plan, df, k_gain=k_gain, kappa=kappa))
-        bodies = _list_bodies(plan, cfg.method)
+        field_eval(p, u)  # stage 1 of step 0, run before the loop to find the agents at rest
+        bodies = _list_bodies(plan, cfg.method, _at_rest(plan, p, u))
     step, reason = _define_run(list(names), *bodies)(p, u, **names)
 
     states = np.frombuffer(coords).reshape(len(recorded), n, 2)
@@ -205,7 +207,8 @@ def compile_field(
     if uses_array_kernel(n):
         m, a = 2 * (plan.pair - 1), 2 * (plan.root - 1)
         unpack = f"x{a}, y{a}, x{m}, y{m} = p[{a}], p[{a + 1}], p[{m}], p[{m + 1}]"
-        ops = [*_pair_lines(plan, "out[{}]"), "xM, yM, xF, yF, xS, yS = p.take(gather)"]
+        ops = field_lines(plan, "out[{}]", frozenset(plan.processing_order[2:]))  # the root and the pair
+        ops.append("xM, yM, xF, yF, xS, yS = p.take(gather)")
         ops += _TRIANGLE_OP.format(m="M", f="F", s="S", k="", dx="out[tm]", dy="out[tm1]").split("\n")
     else:
         unpack = "".join(f"x{m}, y{m}, " for m in range(0, 2 * n, 2)) + "= p"
@@ -229,26 +232,24 @@ def field_names(plan: HierarchyPlan, df: DesiredFormation, *, k_gain: float, kap
     return names | {"gather": gather, "tm": gather[0], "tm1": gather[1], "z_star": np.array(z_star)}
 
 
-def field_lines(plan: HierarchyPlan, out: str) -> list[str]:
+def field_lines(plan: HierarchyPlan, out: str, rest: Container[int] = ()) -> list[str]:
     """The field of ``plan`` as straight-line statements, unindented.
 
     They read agent i's coordinates from x{m} and y{m} with m = 2(i - 1), the
     values of :func:`field_names` by name, and assign entry j of the field
     to ``out.format(j)``: the stationary agent's two entries 0.0, then the
-    pair op and each triangle op in processing order.
+    pair op and each triangle op in processing order, each left out for the
+    agents in ``rest``.
     """
-    lines = _pair_lines(plan, out)
+    m, a = 2 * (plan.pair - 1), 2 * (plan.root - 1)
+    lines = [] if plan.root in rest else [f"{out.format(a)} = 0.0", f"{out.format(a + 1)} = 0.0"]
+    if plan.pair not in rest:
+        lines += _PAIR_OP.format(m=m, a=a, dx=out.format(m), dy=out.format(m + 1)).split("\n")
     for k, t in enumerate(plan.triangles):
         m, f, s = 2 * (t.agent - 1), 2 * (t.base1 - 1), 2 * (t.base2 - 1)
-        lines += _TRIANGLE_OP.format(m=m, f=f, s=s, k=k, dx=out.format(m), dy=out.format(m + 1)).split("\n")
+        if t.agent not in rest:
+            lines += _TRIANGLE_OP.format(m=m, f=f, s=s, k=k, dx=out.format(m), dy=out.format(m + 1)).split("\n")
     return lines
-
-
-def _pair_lines(plan: HierarchyPlan, out: str) -> list[str]:
-    """The stationary agent's two entries 0.0, then the pair op."""
-    m, a = 2 * (plan.pair - 1), 2 * (plan.root - 1)
-    lines = [f"{out.format(a)} = 0.0", f"{out.format(a + 1)} = 0.0"]
-    return lines + _PAIR_OP.format(m=m, a=a, dx=out.format(m), dy=out.format(m + 1)).split("\n")
 
 
 # The field's ops, with x{m}, y{m} holding agent m's coordinates: scalars, or
@@ -288,20 +289,20 @@ def _define(source: str, name: str, env: dict):
     return env[name]
 
 
-# The integrator loop, the one statement of its control flow.  A kernel fills
-# in three bodies: {setup} before the loop, {norm} setting gmax2, the largest
-# squared control norm, from u = field(p), and {advance} stepping the state p
-# and setting worst, its largest coordinate magnitude; a NaN term makes
-# either NaN.  Both kernels evaluate the same expressions in the same order.
-# Every value the loop reads is a keyword parameter, so its source holds no
-# float of the run and one code object serves every run of a shape.
+# The integrator loop, the one statement of its control flow, called with
+# u = field(p).  A kernel fills in three bodies: {setup} before the loop,
+# {norm} setting gmax2, the largest squared control norm of u, and {advance}
+# stepping the state p and setting worst, its largest coordinate magnitude; a
+# NaN term makes either NaN.  Each accepted step ends with the next stage 1.
+# Both kernels evaluate the same expressions in the same order.  Every value
+# the loop reads is a keyword parameter, so its source holds no float of the
+# run and one code object serves every run of a shape.
 _RUN = """\
 def run(p, u, *, {params}):
 {setup}
     step = 0
     worst = 0.0
     while True:
-        field(p, u)
 {norm}
         if step % stride == 0:
             record(p, step, gmax2)
@@ -319,6 +320,7 @@ def run(p, u, *, {params}):
         if not worst <= bound:  # NaN too
             reason = DIVERGED
             break
+        field(p, u)
     # After a divergence the state may no longer be finite (worst is then inf
     # or NaN); the last good sample is kept instead.
     if recorded[-1] != step and isfinite(worst):
@@ -340,36 +342,65 @@ _ARRAY_ADVANCE = {
 _ARRAY_WORST = "worst = float(np.abs(p).max())"
 
 
+def _at_rest(plan: HierarchyPlan, p: Sequence[float], u: Sequence[float]) -> frozenset[int]:
+    """The agents that the flow from ``p`` never moves, given ``u = field(p)``.
+
+    The root, then in processing order each agent whose bases are at rest,
+    whose two control entries are exactly zero and which has no -0.0
+    coordinate: its control reads only its own and its bases' coordinates,
+    so it stays zero, and p + h * (+-0.0) == p for every p but -0.0.
+    """
+    rest = {plan.root}
+    for agent, *bases in [(plan.pair, plan.root), *((t.agent, t.base1, t.base2) for t in plan.triangles)]:
+        m = 2 * (agent - 1)
+        zero = u[m] == u[m + 1] == 0.0 and rest.issuperset(bases)
+        if zero and all(v or math.copysign(1.0, v) > 0 for v in p[m : m + 2]):  # no -0.0
+            rest.add(agent)
+    return frozenset(rest)
+
+
 @lru_cache(maxsize=32)
-def _list_bodies(plan: HierarchyPlan, method: str) -> tuple[tuple[str, ...], ...]:
+def _list_bodies(plan: HierarchyPlan, method: str, rest: frozenset[int]) -> tuple[tuple[str, ...], ...]:
     """The list bodies: the state and each stage in a local per coordinate.
 
     Stage 1 is the ``field`` call of the loop; RK4 stages 2-4 are the plan's
     :func:`field_lines` written out, assigning k2_{j}, k3_{j} and k4_{j}.
-    Cached, since writing them out costs more than running a short basin cell.
+    The agents in ``rest`` (:func:`_at_rest`) are loop invariants: setup sets
+    their x{m}, y{m} and p{j} to p + 0.0 (the root may start at -0.0) and
+    their largest magnitude to rest_worst; their stage positions, ops, update
+    and norm term are left out.  Cached, since writing them out costs more
+    than running a short basin cell.
     """
-    size = 2 * plan.graph.n
+    pairs = range(0, 2 * plan.graph.n, 2)
+    still = [m for m in pairs if m // 2 + 1 in rest]
+    moving = [m for m in pairs if m // 2 + 1 not in rest]
+    coords = [j for m in moving for j in (m, m + 1)]
 
-    def row(template: str) -> str:
-        return ", ".join(template.format(j) for j in range(size))
+    def row(template: str, ms: Sequence[int] = pairs) -> str:
+        return ", ".join(template.format(j) for m in ms for j in (m, m + 1))
 
-    norm = [f"{row('u{}')}, = u", "gmax2 = u0 * u0 + u1 * u1"]
-    for j in range(2, size, 2):
-        norm += [f"v = u{j} * u{j} + u{j + 1} * u{j + 1}", "if v > gmax2 or v != v: gmax2 = v"]
+    setup = [f"{row('p{}')}, = p"]
+    for m in still:
+        setup += [f"x{m} = p{m} = p{m} + 0.0", f"y{m} = p{m + 1} = p{m + 1} + 0.0"]
+    setup.append(f"rest_worst = max([{row('abs(p{})', still)}], default=0.0)")
+    terms = [f"u{m} * u{m} + u{m + 1} * u{m + 1}" for m in moving] or ["0.0"]
+    norm = [f"{row('u{}')}, = u", f"gmax2 = {terms[0]}"]
+    for term in terms[1:]:
+        norm += [f"v = {term}", "if v > gmax2 or v != v: gmax2 = v"]
     advance = []
     if method == "rk4":
         for h, prev, stage in (("half", "u", "k2_"), ("half", "k2_", "k3_"), ("dt", "k3_", "k4_")):
-            for m in range(0, size, 2):
+            for m in moving:
                 advance += [f"x{m} = p{m} + {h} * {prev}{m}", f"y{m} = p{m + 1} + {h} * {prev}{m + 1}"]
-            advance += field_lines(plan, stage + "{}")
+            advance += field_lines(plan, stage + "{}", rest)
         update = "p{0} = p{0} + sixth * (u{0} + two * (k2_{0} + k3_{0}) + k4_{0})"
     else:
         update = "p{0} = p{0} + dt * u{0}"
-    advance += [update.format(j) for j in range(size)]
-    advance += [f"p = [{row('p{}')}]", "worst = abs(p0)"]
-    for j in range(1, size):
+    advance += [update.format(j) for j in coords]
+    advance += [f"p = [{row('p{}')}]", "worst = rest_worst"]
+    for j in coords:
         advance += [f"v = abs(p{j})", "if v > worst or v != v: worst = v"]
-    return (f"{row('p{}')}, = p",), tuple(norm), tuple(advance)
+    return tuple(setup), tuple(norm), tuple(advance)
 
 
 def _define_run(params: list[str], setup: Sequence[str], norm: Sequence[str], advance: Sequence[str]):
@@ -463,18 +494,6 @@ def probe_points(
             family = verdict["matched"]
             if family is not None:
                 label = LABEL_CORRECT if verdict["in_target_set"] else LABEL_INCORRECT
-        cells.append(
-            BasinCell(
-                ix=ix,
-                iy=iy,
-                x0=x0,
-                y0=y0,
-                label=label,
-                reason=result.reason,
-                x_final=fx,
-                y_final=fy,
-                matched_family=family,
-            )
-        )
+        cells.append(BasinCell(ix, iy, x0, y0, label, result.reason, fx, fy, family))
     return cells
 

@@ -408,6 +408,132 @@ def test_generated_step_matches_the_scalar_loops_on_diverging_runs(case, method)
     assert res.reason == DIVERGED
 
 
+# ---------------------------------------------------------------------------
+# Agents at rest: loop invariants against the loop that steps every agent
+# ---------------------------------------------------------------------------
+
+def rest_of(plan, df, init, k_gain, kappa=1.0):
+    """The rest set simulate takes from the first control at ``init``."""
+    p = [c for q in init for c in (q.x, q.y)]
+    u = [0.0] * len(p)
+    compile_field(plan, df, k_gain=k_gain, kappa=kappa)(p, u)
+    return dynamics._at_rest(plan, p, u)
+
+
+def assert_rest_changes_nothing(monkeypatch, plan, df, init, cfg, k_gain, kappa=1.0):
+    """The rest-aware run against the same run with no agent at rest, byte for byte."""
+    res = simulate(plan, df, init, cfg, k_gain=k_gain, kappa=kappa)
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_at_rest", lambda plan, p, u: frozenset())
+        full = simulate(plan, df, init, cfg, k_gain=k_gain, kappa=kappa)
+    assert (res.steps, res.reason, res.t_final) == (full.steps, full.reason, full.t_final)
+    for name in ("times", "states", "metrics"):
+        a, b = getattr(res.trajectory, name), getattr(full.trajectory, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name  # signed zeros too
+    return rest_of(plan, df, init, k_gain, kappa)
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("k_gain", [20.0, 0.6])
+@pytest.mark.parametrize("start", [(0.0, 1.0), (-0.0, 1.0), (-0.0, -0.0), (0.4, -0.7), (-2.5, 2.0)])
+def test_probe_cells_at_rest_match_the_full_loop(monkeypatch, start, k_gain, method):
+    df, plan = triangle_setup()
+    cfg = IntegratorConfig(method=method)
+    rest = assert_rest_changes_nothing(monkeypatch, plan, df, pinned_init(*start), cfg, k_gain)
+    assert rest == {plan.root, plan.pair}
+
+
+# pins: (root, pair, rest set); the root may start at -0.0, a pair agent with
+# a -0.0 coordinate is stepped
+PINS = {
+    "root-y-minus-zero": ((-1.0, -0.0), (1.0, 0.0), {1, 2}),
+    "root-at-minus-zero": ((-0.0, -0.0), (2.0, 0.0), {1, 2}),
+    "pair-y-minus-zero": ((-1.0, 0.0), (1.0, -0.0), {1}),
+    "pair-x-minus-zero": ((-2.0, 0.5), (-0.0, 0.5), {1}),
+}
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("case", sorted(PINS))
+def test_signed_zero_pins_match_the_full_loop(monkeypatch, case, method):
+    root, pair, want = PINS[case]
+    df, plan = triangle_setup()
+    init = [Position(*root), Position(*pair), Position(0.3, 1.1)]
+    cfg = IntegratorConfig(method=method, t_max=5.0, record_stride=1)
+    assert assert_rest_changes_nothing(monkeypatch, plan, df, init, cfg, 20.0) == want
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("placed", [2, 5, 11])
+def test_grown_formations_with_agents_on_target_match_the_full_loop(monkeypatch, placed, method):
+    # At d_star = 3 the control at the target is exactly zero for every agent,
+    # so the first `placed` agents in processing order start at rest.
+    rng = random.Random(placed)
+    _, df, plan = grown_formation(rng, 11, d_star=3.0)
+    target = target_positions(plan, df)
+    jittered = set(plan.processing_order[placed:])
+    init = [
+        Position(q.x + rng.uniform(-0.3, 0.3), q.y + rng.uniform(-0.3, 0.3)) if i in jittered else q
+        for i, q in enumerate(target, start=1)
+    ]
+    # the tolerance squares to 0.0, so a run with every agent at rest times out
+    cfg = IntegratorConfig(method=method, t_max=3.0, record_stride=3, grad_norm_tol=1e-200)
+    rest = assert_rest_changes_nothing(monkeypatch, plan, df, init, cfg, 20.0, 2.0)
+    assert rest == set(plan.processing_order[:placed])
+
+
+def test_rest_sets_of_basin_cells_and_paper10():
+    rest_sets = []
+    scenario = resolve(make_builtin_scenario("triangle", k_gain=20.0))
+    plan, df = scenario.plan, scenario.formation
+    a = 0.5 * df.d_star
+    for x0, y0 in [(0.0, 1.0), (-0.0, -0.0), (1.7, -2.9)]:  # probe_points' pins and cells
+        rest_sets.append(rest_of(plan, df, [Position(-a, 0.0), Position(a, 0.0), Position(x0, y0)], 20.0))
+    assert rest_sets == [{plan.root, plan.pair}] * 3
+    plan = build_hierarchy(build_example_graph(), (1, 2))
+    df = DesiredFormation(plan.graph, 2.0)
+    rng = random.Random(3)
+    init = [Position(q.x + rng.uniform(-0.1, 0.1), q.y + rng.uniform(-0.1, 0.1)) for q in target_positions(plan, df)]
+    assert rest_of(plan, df, init, 20.0) == {plan.root}
+
+
+def counted_evaluations(monkeypatch):
+    """A list that grows by one per call of any field simulate compiles."""
+    calls = []
+    compile_once = dynamics.compile_field
+
+    def spy(*args, **kwargs):
+        field = compile_once(*args, **kwargs)
+
+        def counted(p, out):
+            calls.append(len(calls))
+            field(p, out)
+
+        return counted
+
+    monkeypatch.setattr(dynamics, "compile_field", spy)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("arrays", [False, True], ids=["scalar", "arrays"])
+def test_a_run_that_ends_at_its_start_evaluates_the_field_once(monkeypatch, arrays, method):
+    monkeypatch.setattr(dynamics, "ARRAY_MIN_AGENTS", 3 if arrays else 4)
+    calls = counted_evaluations(monkeypatch)
+    df, plan = triangle_setup()
+    cfg = IntegratorConfig(method=method)
+    kappa, k_gain, start, _ = NON_FINITE["field-is-nan"]
+    saddle = enumerate_triangle_equilibria(1.0, 0.6)[2].position
+    for init, k_gain, kappa, reason in (
+        (pinned_init(*start), k_gain, kappa, DIVERGED),  # a non-finite field at the start
+        (pinned_init(saddle.x, saddle.y), 0.6, 1.0, CONVERGED),  # already converged
+    ):
+        calls.clear()
+        res = simulate(plan, df, init, cfg, k_gain=k_gain, kappa=kappa)
+        assert (res.reason, res.steps, res.t_final, len(calls)) == (reason, 0, 0.0, 1)
+        assert res.trajectory.times.tolist() == [0.0] and len(res.trajectory.states) == 1
+
+
 def compiled_runs(monkeypatch):
     """The code objects simulate compiles or takes from the cache, field and loop, in call order."""
     codes = []
