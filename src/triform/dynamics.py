@@ -6,14 +6,16 @@ time budget runs out (timeout), or when any coordinate leaves a large bound
 or the state or the control field stops being finite (diverged).  One
 generated loop runs them, stepping float64 arrays with numpy from
 ``ARRAY_MIN_AGENTS`` agents on and a local per coordinate with straight-line
-code below; the field kernel it calls is generated here too, for either
-kernel from the same op text.
+code below; both field kernels are generated here too, from the same op
+text, and the list loop writes the ops out itself.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Container, Sequence
@@ -135,13 +137,12 @@ def simulate(
     u_norms = array("d")
     arrays = uses_array_kernel(n)
 
-    def record(state: list[float] | np.ndarray, step: int, gmax2: float) -> None:
-        coords.fromlist(state.tolist() if arrays else state)
+    def record(state: list[float], step: int, gmax2: float) -> None:
+        coords.fromlist(state)
         recorded.append(step)
         u_norms.append(math.sqrt(gmax2))
 
     names = {
-        "field": field_eval,
         "record": record,
         "recorded": recorded,
         "isfinite": math.isfinite,
@@ -159,15 +160,18 @@ def simulate(
     }
     if arrays:
         p, u = np.array(p), np.zeros(2 * n)
-        names.update(np=np, k2=np.zeros(2 * n), k3=np.zeros(2 * n), k4=np.zeros(2 * n))
-        bodies = [], _ARRAY_NORM, [*_ARRAY_ADVANCE[cfg.method], _ARRAY_WORST]
+        names.update(np=np, field=field_eval, k2=np.zeros(2 * n), k3=np.zeros(2 * n), k4=np.zeros(2 * n))
+        advance = [*_ARRAY_ADVANCE[cfg.method], _ARRAY_WORST]
+        state, setup, *loop = "p.tolist()", [], _ARRAY_NORM, advance, ["field(p, u)"]
         field_eval(p, u)
     else:
         u = [0.0] * (2 * n)
         names.update(field_names(plan, df, k_gain=k_gain, kappa=kappa))
         field_eval(p, u)  # stage 1 of step 0, run before the loop to find the agents at rest
-        bodies = _list_bodies(plan, cfg.method, _at_rest(plan, p, u))
-    step, reason = _define_run(list(names), *bodies)(p, u, **names)
+        state, setup, *loop = _list_bodies(plan, cfg.method, _at_rest(plan, p, u))
+    bodies = dict(zip(("norm", "advance", "stage1"), ("\n        ".join(body) for body in loop)))
+    source = _RUN.format(params=", ".join(names), state=state, setup="\n    ".join(setup), **bodies)
+    step, reason = _define(source, "run", {})(p, u, **names)  # compiled once per source text
 
     states = np.frombuffer(coords).reshape(len(recorded), n, 2)
     dist_err, area_err = formation_errors(df, states)
@@ -178,8 +182,6 @@ def simulate(
     )
     return SimulationResult(trajectory=trajectory, reason=reason, t_final=step * dt, steps=step)
 
-
-FlatField = Callable[[list[float], list[float]], None]
 
 # From this many agents on the numpy field kernel and loop bodies run, below
 # them the generated list ones; it sits above their measured crossover (README).
@@ -193,7 +195,7 @@ def uses_array_kernel(n: int) -> bool:
 
 def compile_field(
     plan: HierarchyPlan, df: DesiredFormation, *, k_gain: float, kappa: float = 1.0
-) -> FlatField:
+) -> Callable[[list[float], list[float]], None]:
     """Build a fast evaluator of the control field over flat coordinates.
 
     The returned callable fills ``out`` (length 2n) with the control input for
@@ -273,10 +275,12 @@ c1 = (e1x * e1x + e1y * e1y) - d2
 c2 = (e2x * e2x + e2y * e2y) - d2
 bx = x{s} - x{f}
 by = y{s} - y{f}
+qx = -0.5 * by
+qy = 0.5 * bx
 z = 0.5 * (bx * e1y - e1x * by)
 area = kg * (z - z_star{k})
-gx = c1 * e1x + c2 * e2x + area * (-0.5 * by)
-gy = c1 * e1y + c2 * e2y + area * (0.5 * bx)
+gx = c1 * e1x + c2 * e2x + area * qx
+gy = c1 * e1y + c2 * e2y + area * qy
 {dx} = -(kap * gx)
 {dy} = -(kap * gy)"""
 
@@ -290,22 +294,21 @@ def _define(source: str, name: str, env: dict):
 
 
 # The integrator loop, the one statement of its control flow, called with
-# u = field(p).  A kernel fills in three bodies: {setup} before the loop,
-# {norm} setting gmax2, the largest squared control norm of u, and {advance}
-# stepping the state p and setting worst, its largest coordinate magnitude; a
-# NaN term makes either NaN.  Each accepted step ends with the next stage 1.
+# u = field(p).  A kernel fills in {state}, the state as a list, and the bodies
+# {setup} before the loop, {norm} setting gmax2, the largest squared control
+# norm of u, {advance} stepping the state and setting worst, its largest
+# coordinate magnitude (a NaN term makes either NaN), and {stage1}, u = field(p).
 # Both kernels evaluate the same expressions in the same order.  Every value
 # the loop reads is a keyword parameter, so its source holds no float of the
 # run and one code object serves every run of a shape.
 _RUN = """\
 def run(p, u, *, {params}):
-{setup}
+    {setup}
     step = 0
-    worst = 0.0
     while True:
-{norm}
+        {norm}
         if step % stride == 0:
-            record(p, step, gmax2)
+            record({state}, step, gmax2)
         if not isfinite(gmax2):  # NaN or overflowing field
             reason = DIVERGED
             break
@@ -315,16 +318,16 @@ def run(p, u, *, {params}):
         if step >= max_steps:
             reason = TIMEOUT
             break
-{advance}
+        {advance}
         step += 1
         if not worst <= bound:  # NaN too
             reason = DIVERGED
             break
-        field(p, u)
+        {stage1}
     # After a divergence the state may no longer be finite (worst is then inf
     # or NaN); the last good sample is kept instead.
     if recorded[-1] != step and isfinite(worst):
-        record(p, step, gmax2)
+        record({state}, step, gmax2)
     return step, reason
 """
 
@@ -360,16 +363,16 @@ def _at_rest(plan: HierarchyPlan, p: Sequence[float], u: Sequence[float]) -> fro
 
 
 @lru_cache(maxsize=32)
-def _list_bodies(plan: HierarchyPlan, method: str, rest: frozenset[int]) -> tuple[tuple[str, ...], ...]:
-    """The list bodies: the state and each stage in a local per coordinate.
+def _list_bodies(plan: HierarchyPlan, method: str, rest: frozenset[int]) -> tuple:
+    """The list state and bodies, with p, u and each stage in a local per coordinate.
 
-    Stage 1 is the ``field`` call of the loop; RK4 stages 2-4 are the plan's
-    :func:`field_lines` written out, assigning k2_{j}, k3_{j} and k4_{j}.
+    Setup unpacks p and u.  Stage 1 and RK4 stages 2-4 are the plan's
+    :func:`field_lines` written out, assigning u{j}, k2_{j}, k3_{j} and k4_{j}.
     The agents in ``rest`` (:func:`_at_rest`) are loop invariants: setup sets
-    their x{m}, y{m} and p{j} to p + 0.0 (the root may start at -0.0) and
-    their largest magnitude to rest_worst; their stage positions, ops, update
-    and norm term are left out.  Cached, since writing them out costs more
-    than running a short basin cell.
+    their x{m}, y{m} and p{j} to p + 0.0 and their largest magnitude to
+    rest_worst, and the loop leaves out their stage positions, ops, update and
+    norm term.  The root may start at -0.0, so sample 0 records the incoming
+    p.  Cached, since writing them out costs more than a short basin cell.
     """
     pairs = range(0, 2 * plan.graph.n, 2)
     still = [m for m in pairs if m // 2 + 1 in rest]
@@ -379,39 +382,39 @@ def _list_bodies(plan: HierarchyPlan, method: str, rest: frozenset[int]) -> tupl
     def row(template: str, ms: Sequence[int] = pairs) -> str:
         return ", ".join(template.format(j) for m in ms for j in (m, m + 1))
 
-    setup = [f"{row('p{}')}, = p"]
-    for m in still:
-        setup += [f"x{m} = p{m} = p{m} + 0.0", f"y{m} = p{m + 1} = p{m + 1} + 0.0"]
+    def stage(step: str, out: str) -> list[str]:  # the moving agents at p + step, then the ops into out
+        positions = [f"{c}{m} = p{j}{step.format(j)}" for m in moving for c, j in (("x", m), ("y", m + 1))]
+        return positions + field_lines(plan, out, rest)
+
+    setup = [f"{row('p{}')}, = p", f"{row('u{}')}, = u"]
+    setup += [f"{c}{m} = p{j} = p{j} + 0.0" for m in still for c, j in (("x", m), ("y", m + 1))]
     setup.append(f"rest_worst = max([{row('abs(p{})', still)}], default=0.0)")
     terms = [f"u{m} * u{m} + u{m + 1} * u{m + 1}" for m in moving] or ["0.0"]
-    norm = [f"{row('u{}')}, = u", f"gmax2 = {terms[0]}"]
+    norm = [f"gmax2 = {terms[0]}"]
     for term in terms[1:]:
         norm += [f"v = {term}", "if v > gmax2 or v != v: gmax2 = v"]
-    advance = []
     if method == "rk4":
-        for h, prev, stage in (("half", "u", "k2_"), ("half", "k2_", "k3_"), ("dt", "k3_", "k4_")):
-            for m in moving:
-                advance += [f"x{m} = p{m} + {h} * {prev}{m}", f"y{m} = p{m + 1} + {h} * {prev}{m + 1}"]
-            advance += field_lines(plan, stage + "{}", rest)
+        advance = stage(" + half * u{}", "k2_{}") + stage(" + half * k2_{}", "k3_{}") + stage(" + dt * k3_{}", "k4_{}")
         update = "p{0} = p{0} + sixth * (u{0} + two * (k2_{0} + k3_{0}) + k4_{0})"
     else:
-        update = "p{0} = p{0} + dt * u{0}"
+        advance, update = [], "p{0} = p{0} + dt * u{0}"
     advance += [update.format(j) for j in coords]
-    advance += [f"p = [{row('p{}')}]", "worst = rest_worst"]
+    advance.append("worst = rest_worst")
     for j in coords:
         advance += [f"v = abs(p{j})", "if v > worst or v != v: worst = v"]
-    return tuple(setup), tuple(norm), tuple(advance)
-
-
-def _define_run(params: list[str], setup: Sequence[str], norm: Sequence[str], advance: Sequence[str]):
-    """:data:`_RUN` with these bodies and keyword parameters, compiled once per source text."""
-    source = _RUN.format(
-        params=", ".join(params),
-        setup="\n".join("    " + line for line in setup),
-        norm="\n".join("        " + line for line in norm),
-        advance="\n".join("        " + line for line in advance),
-    )
-    return _define(source, "run", {})
+    # Loop-invariant code motion, in loop order: `name = expr` moves to setup
+    # when the loop assigns name by this one text (so never a compound
+    # statement's target) and expr reads no name the loop still assigns.
+    loop, moved = (norm, advance, stage("", "u{}")), []
+    lines = dict.fromkeys(line for body in loop for line in body)  # each text once, in loop order
+    texts = Counter(line.partition(" = ")[0].rpartition(" ")[2] for line in lines)  # `if ...: name = v` too
+    for line in lines:
+        name, _, expr = line.partition(" = ")
+        if texts[name] == 1 and texts.keys().isdisjoint(re.findall(r"\w+", expr)):
+            moved.append(line)
+            del texts[name]
+    bodies = (tuple(line for line in body if line not in moved) for body in loop)
+    return f"[{row('p{}')}] if step else p", (*setup, *moved), *bodies
 
 
 @dataclass(frozen=True)

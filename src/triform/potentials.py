@@ -117,10 +117,12 @@ def _corner_gradient(
     c2 = (e2x * e2x + e2y * e2y) - d2
     bx = sx - fx
     by = sy - fy
+    qx = -0.5 * by
+    qy = 0.5 * bx
     z = 0.5 * (bx * e1y - e1x * by)
     area = k_gain * (z - z_star)
-    gx = c1 * e1x + c2 * e2x + area * (-0.5 * by)
-    gy = c1 * e1y + c2 * e2y + area * (0.5 * bx)
+    gx = c1 * e1x + c2 * e2x + area * qx
+    gy = c1 * e1y + c2 * e2y + area * qy
     return gx, gy
 
 

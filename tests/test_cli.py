@@ -1040,8 +1040,8 @@ def test_traced_simulate_counts_every_field_evaluation(tmp_path, formation, meth
     # for RK4 and one for Euler, and one more at the final state; the manifest
     # counts them all.  The tracer sees the ones made through the callable
     # compile_field returns: all of them on arrays (from ARRAY_MIN_AGENTS
-    # agents on), only stage 1 of every step and the final one on lists
-    # (paper-10), whose generated run writes out RK4 stages 2-4.
+    # agents on), only the one before the loop on lists (paper-10), whose
+    # generated run writes out every stage.
     cfg_path = tmp_path / f"{formation}.json"
     if formation == "grown-array":
         rng = random.Random(11)
@@ -1074,8 +1074,7 @@ def test_traced_simulate_counts_every_field_evaluation(tmp_path, formation, meth
     stages = 4 if method == "rk4" else 1
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert (manifest["steps"], manifest["field_evals"]) == (steps, 1 + stages * steps)
-    traced_stages = stages if formation == "grown-array" else 1
-    assert span.field_evals == 1 + traced_stages * steps
+    assert span.field_evals == (1 + stages * steps if formation == "grown-array" else 1)
 
 
 def test_traced_simulate_computes_formation_errors_once_per_run(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from array import array
 from dataclasses import replace
 from pathlib import Path
@@ -495,6 +496,55 @@ def test_rest_sets_of_basin_cells_and_paper10():
     rng = random.Random(3)
     init = [Position(q.x + rng.uniform(-0.1, 0.1), q.y + rng.uniform(-0.1, 0.1)) for q in target_positions(plan, df)]
     assert rest_of(plan, df, init, 20.0) == {plan.root}
+
+
+def loop_texts(lines):
+    """Each name that ``lines`` assign, with the set of lines assigning it."""
+    texts = {}
+    for line in lines:
+        texts.setdefault(re.search(r"(\w+) = ", line)[1], set()).add(line)
+    return texts
+
+
+def hoisted_and_looped(plan, rest):
+    """The assignments the RK4 list bodies moved to setup, and the loop's lines."""
+    _, setup, *loop = dynamics._list_bodies(plan, "rk4", frozenset(rest))
+    first = next(i for i, line in enumerate(setup) if line.startswith("rest_worst = ")) + 1
+    return list(setup[first:]), [line for body in loop for line in body]
+
+
+def test_basin_loop_sets_the_pinned_bases_terms_once_in_setup():
+    _, plan = triangle_setup()
+    hoisted, looped = hoisted_and_looped(plan, {plan.root, plan.pair})
+    assert sorted(line.partition(" = ")[0] for line in hoisted) == ["bx", "by", "qx", "qy"]
+    assert not loop_texts(looped).keys() & {"bx", "by", "qx", "qy"}
+    assert sum("area * qx" in line for line in looped) == 4  # read by every stage
+
+
+def test_paper10_loop_with_only_the_root_at_rest_hoists_nothing():
+    plan = build_hierarchy(build_example_graph(), (1, 2))
+    hoisted, looped = hoisted_and_looped(plan, {plan.root})
+    assert hoisted == []
+    assert len(loop_texts(looped)["bx"]) == len(plan.triangles)  # one text per triangle
+
+
+@pytest.mark.parametrize("case", ["basin", "paper10", "grown-5-at-rest"])
+def test_compound_targets_and_names_of_two_texts_stay_in_the_loop(case):
+    if case == "basin":
+        _, plan = triangle_setup()
+        rest = {plan.root, plan.pair}
+    elif case == "paper10":
+        plan = build_hierarchy(build_example_graph(), (1, 2))
+        rest = {plan.root}
+    else:
+        _, _, plan = grown_formation(random.Random(5), 11, d_star=3.0)
+        rest = set(plan.processing_order[:5])
+    hoisted, looped = hoisted_and_looped(plan, rest)
+    compound = {re.search(r"(\w+) = ", line)[1] for line in looped if line.startswith("if ")}
+    several = {name for name, texts in loop_texts(looped + hoisted).items() if len(texts) > 1}
+    assert "worst" in compound and "v" in several and (case == "basin" or {"gmax2", "bx"} <= compound | several)
+    assert "worst = rest_worst" in looped  # though it reads only setup's rest_worst
+    assert not (compound | several) & loop_texts(hoisted).keys()
 
 
 def counted_evaluations(monkeypatch):
