@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SQRT3, Position
+from .geometry import SQRT3, Position, require_positive
 from .potentials import (
     TrianglePotentialSpec,
     _corner_gradient,
@@ -115,8 +115,7 @@ def enumerate_pair_equilibria(d_star: float) -> list[Equilibrium]:
     the scalar potential (x**2 - d_star**2)**2 / 4 governs it; its second
     derivative 3x**2 - d_star**2 classifies the three axis equilibria.
     """
-    if not (math.isfinite(d_star) and d_star > 0):
-        raise ValueError(f"d_star must be finite and positive, got {d_star}")
+    require_positive("d_star", d_star)
     d2 = d_star * d_star
     tol = 1e-9 * d2
 
@@ -140,10 +139,8 @@ def enumerate_triangle_equilibria(a: float, k_gain: float) -> list[Equilibrium]:
     (same coordinates, flagged) so the catalogue length still reflects the
     double root.
     """
-    if not (math.isfinite(a) and a > 0):
-        raise ValueError(f"a must be finite and positive, got {a}")
-    if not (math.isfinite(k_gain) and k_gain > 0):
-        raise ValueError(f"k_gain must be finite and positive, got {k_gain}")
+    require_positive("a", a)
+    require_positive("k_gain", k_gain)
     a2 = a * a
     if not sys.float_info.min <= a2 < math.inf:
         raise ValueError(f"a={a} gives a*a={a2}, which is not a normal float")
@@ -191,8 +188,7 @@ def classify_gain(k_gain: float) -> GainRegime:
     lower axis equilibrium is degenerate there); it is reported as
     almost-global with at_boundary set.
     """
-    if not (math.isfinite(k_gain) and k_gain > 0):
-        raise ValueError(f"k_gain must be finite and positive, got {k_gain}")
+    require_positive("k_gain", k_gain)
     if k_gain > K_HIGH:
         return GainRegime(k_gain=k_gain, regime=REGIME_GLOBAL)
     if k_gain > K_LOW:
@@ -222,10 +218,8 @@ def find_equilibria_numeric(a: float, k_gain: float) -> list[Position]:
     (y, x).  This is the independent check of the closed-form catalogue, so
     it never consults it.
     """
-    if not (math.isfinite(a) and a > 0):
-        raise ValueError(f"a must be finite and positive, got {a}")
-    if not (math.isfinite(k_gain) and k_gain > 0):
-        raise ValueError(f"k_gain must be finite and positive, got {k_gain}")
+    require_positive("a", a)
+    require_positive("k_gain", k_gain)
     axis = np.linspace(-4.0 * a, 4.0 * a, 41)
     x, y = (g.ravel() for g in np.meshgrid(axis, axis))
     a2 = a * a

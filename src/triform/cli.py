@@ -12,6 +12,7 @@ import json
 import math
 import os
 import platform
+import re
 import sys
 import time
 from dataclasses import astuple, fields, replace
@@ -334,7 +335,11 @@ def cmd_sweep_gain(args: argparse.Namespace) -> Run:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors raise ConfigError instead of exiting with 2."""
+    """Argument parser that reads -3e-3 as a number and raises ConfigError on usage errors."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message: str):
         self.print_usage(sys.stderr)

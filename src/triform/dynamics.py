@@ -23,7 +23,7 @@ from typing import Callable, Container, Sequence
 import numpy as np
 
 from .analysis import judge_triangle
-from .geometry import Position
+from .geometry import Position, require_positive
 from .graph import DesiredFormation, formation_errors
 from .hierarchy import HierarchyPlan
 
@@ -56,18 +56,15 @@ class IntegratorConfig:
     def __post_init__(self) -> None:
         if self.method not in ("rk4", "euler"):
             raise ValueError(f"method must be 'rk4' or 'euler', got {self.method!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        require_positive("dt", self.dt)
         if self.dt >= self.t_max:
             raise ValueError(f"dt={self.dt} must be smaller than t_max={self.t_max}")
         if not self.t_max / self.dt <= MAX_STEPS:  # an infinite or NaN t_max too
             raise ValueError(f"t_max={self.t_max} must be within {MAX_STEPS} steps of dt={self.dt}")
-        if not (math.isfinite(self.grad_norm_tol) and self.grad_norm_tol > 0):
-            raise ValueError(f"grad_norm_tol must be positive, got {self.grad_norm_tol}")
+        require_positive("grad_norm_tol", self.grad_norm_tol)
         if type(self.record_stride) is not int or self.record_stride < 1:  # bool too
             raise ValueError(f"record_stride must be an integer >= 1, got {self.record_stride!r}")
-        if not (math.isfinite(self.divergence_bound) and self.divergence_bound > 0):
-            raise ValueError(f"divergence_bound must be positive, got {self.divergence_bound}")
+        require_positive("divergence_bound", self.divergence_bound)
 
 
 @dataclass

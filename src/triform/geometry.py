@@ -12,6 +12,12 @@ from dataclasses import dataclass
 SQRT3 = math.sqrt(3.0)
 
 
+def require_positive(name: str, value: float, error: type[Exception] = ValueError) -> None:
+    """Raise error unless value is finite and positive."""
+    if not (math.isfinite(value) and value > 0):
+        raise error(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class Position:
     """A point in the plane; both coordinates must be finite."""

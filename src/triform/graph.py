@@ -11,7 +11,6 @@ existing vertices so that it closes a triangle.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -19,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import SQRT3, Position
+from .geometry import SQRT3, Position, require_positive
 
 Edge = tuple[int, int]
 Clique = tuple[int, int, int]
@@ -125,8 +124,7 @@ class DesiredFormation:
     z_star_signs: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.d_star) and self.d_star > 0):
-            raise GraphSpecError(f"d_star must be finite and positive, got {self.d_star}")
+        require_positive("d_star", self.d_star, GraphSpecError)
         signs = self.z_star_signs
         if signs == ():
             signs = tuple(1 for _ in self.graph.cliques)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SQRT3, PlanarVector, Position, signed_area, squared_distance
+from .geometry import SQRT3, PlanarVector, Position, require_positive, signed_area, squared_distance
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,7 @@ class PairPotentialSpec:
     d_star: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.d_star) and self.d_star > 0):
-            raise ValueError(f"d_star must be finite and positive, got {self.d_star}")
+        require_positive("d_star", self.d_star)
 
 
 @dataclass(frozen=True)
@@ -46,12 +45,10 @@ class TrianglePotentialSpec:
     k_gain: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.d_star) and self.d_star > 0):
-            raise ValueError(f"d_star must be finite and positive, got {self.d_star}")
+        require_positive("d_star", self.d_star)
         if not math.isfinite(self.z_star):
             raise ValueError(f"z_star must be finite, got {self.z_star}")
-        if not (math.isfinite(self.k_gain) and self.k_gain > 0):
-            raise ValueError(f"k_gain must be finite and positive, got {self.k_gain}")
+        require_positive("k_gain", self.k_gain)
 
 
 def pair_potential(spec: PairPotentialSpec, pi: Position, pj: Position) -> float:

@@ -944,6 +944,19 @@ def test_rejected_inputs_write_a_config_error_manifest(tmp_path, argv, field):
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
+@pytest.mark.parametrize("text", ["-3e-3", "-3E-03", "-.5e1", "-3.e+2", "-0.003", "-3"])
+def test_negative_bounds_read_as_values_in_any_float_notation(text):
+    args = triform.cli.build_parser().parse_args(["basin", "--k", "20", "--xmin", text])
+    assert args.xmin == float(text)
+
+
+def test_basin_runs_with_a_negative_bound_in_exponent_notation(tmp_path):
+    out = tmp_path / "basin"
+    argv = ["basin", "--k", 20, "--grid", "2x1", "--t-max", 1, "--xmin", "-3e-3", "--xmax", "3e-3"]
+    assert run_cli(*argv, "--out-dir", out) == 0
+    assert strict_manifest(out)["grid"][2] == -0.003
+
+
 @pytest.mark.parametrize(
     "patched, argv",
     [

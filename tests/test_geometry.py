@@ -2,7 +2,23 @@ import math
 
 import pytest
 
-from triform import Position, PlanarVector, distance, signed_area, squared_distance
+from triform import (
+    DesiredFormation,
+    FormationGraph,
+    GraphSpecError,
+    IntegratorConfig,
+    PairPotentialSpec,
+    PlanarVector,
+    Position,
+    TrianglePotentialSpec,
+    classify_gain,
+    distance,
+    enumerate_pair_equilibria,
+    enumerate_triangle_equilibria,
+    find_equilibria_numeric,
+    signed_area,
+    squared_distance,
+)
 
 from conftest import random_reflection, random_rigid_motion
 
@@ -34,6 +50,39 @@ def test_positions_reject_non_finite():
         Position(0.0, float("inf"))
     with pytest.raises(ValueError):
         PlanarVector(float("-inf"), 0.0)
+
+
+# Every setting the control law needs finite and positive, by where it is
+# checked: (name in the message, constructor of one value, exception type).
+POSITIVE_SETTINGS = {
+    "pair-equilibria-d_star": ("d_star", enumerate_pair_equilibria, ValueError),
+    "triangle-equilibria-a": ("a", lambda v: enumerate_triangle_equilibria(v, 1.0), ValueError),
+    "triangle-equilibria-k_gain": ("k_gain", lambda v: enumerate_triangle_equilibria(1.0, v), ValueError),
+    "classify-gain-k_gain": ("k_gain", classify_gain, ValueError),
+    "numeric-equilibria-a": ("a", lambda v: find_equilibria_numeric(v, 1.0), ValueError),
+    "numeric-equilibria-k_gain": ("k_gain", lambda v: find_equilibria_numeric(1.0, v), ValueError),
+    "integrator-dt": ("dt", lambda v: IntegratorConfig(dt=v), ValueError),
+    "integrator-grad_norm_tol": ("grad_norm_tol", lambda v: IntegratorConfig(grad_norm_tol=v), ValueError),
+    "integrator-divergence_bound": ("divergence_bound", lambda v: IntegratorConfig(divergence_bound=v), ValueError),
+    "formation-d_star": (
+        "d_star",
+        lambda v: DesiredFormation(FormationGraph(3, [(1, 2), (2, 3), (1, 3)], [(1, 2, 3)]), v),
+        GraphSpecError,
+    ),
+    "pair-spec-d_star": ("d_star", lambda v: PairPotentialSpec(d_star=v), ValueError),
+    "triangle-spec-d_star": ("d_star", lambda v: TrianglePotentialSpec(d_star=v, z_star=1.0, k_gain=1.0), ValueError),
+    "triangle-spec-k_gain": ("k_gain", lambda v: TrianglePotentialSpec(d_star=2.0, z_star=1.0, k_gain=v), ValueError),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf], ids=str)
+@pytest.mark.parametrize("site", POSITIVE_SETTINGS)
+def test_positive_settings_refuse_zero_negative_and_non_finite(site, value):
+    name, make, error = POSITIVE_SETTINGS[site]
+    with pytest.raises(ValueError) as info:
+        make(value)
+    assert info.type is error
+    assert str(info.value) == f"{name} must be finite and positive, got {value}"
 
 
 def test_signed_area_antisymmetric_under_swaps(rng):
