@@ -15,10 +15,11 @@ import platform
 import re
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import astuple, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -270,21 +271,22 @@ def ProcessPoolExecutor(max_workers: int):
 
 
 def _run_basin(
-    scenario, k_gain: float, equilibria, grid: GridSpec, cfg: IntegratorConfig, jobs: int
-) -> tuple[list[BasinCell], float | None]:
-    """Probe every grid cell; return the cells and the correct fraction (None when empty)."""
+    scenario, gains: Sequence[float], catalogues: Sequence, grid: GridSpec, cfg: IntegratorConfig, jobs: int
+) -> Iterator[tuple[list[BasinCell], float | None]]:
+    """Probe every grid cell at every gain through one pool of at most ``jobs`` workers;
+    yield each gain's cells and correct fraction (None when empty) as they arrive."""
     points = grid.points()
     jobs = min(jobs, os.cpu_count() or 1, len(points))
-    worker = partial(probe_points, scenario.plan, scenario.formation, cfg, k_gain, equilibria)
-    if jobs <= 1:
-        cells = worker(points)
-    else:
-        chunk = (len(points) + jobs - 1) // jobs
-        batches = [points[i : i + chunk] for i in range(0, len(points), chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = [cell for batch in pool.map(worker, batches) for cell in batch]
-    correct = sum(1 for c in cells if c.label == LABEL_CORRECT)
-    return cells, (correct / len(cells) if cells else None)
+    chunk = (len(points) + jobs - 1) // jobs if jobs else 1
+    batches = [points[i : i + chunk] for i in range(0, len(points), chunk)]
+    worker = partial(probe_points, scenario.plan, scenario.formation, cfg)
+    tasks = [k for k in gains for _ in batches], [e for e in catalogues for _ in batches], batches * len(gains)
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        done = (pool.map if pool else map)(worker, *tasks)
+        for _ in gains:  # zip takes a batch first, so it stops before the next gain's results
+            cells = [cell for _, batch in zip(batches, done) for cell in batch]
+            correct = sum(1 for c in cells if c.label == LABEL_CORRECT)
+            yield cells, (correct / len(cells) if cells else None)
 
 
 def cmd_basin(args: argparse.Namespace) -> Run:
@@ -293,7 +295,7 @@ def cmd_basin(args: argparse.Namespace) -> Run:
     scenario, grid, cfg, (equilibria,) = _basin_setup(args, [args.k])
 
     def run(out_dir: Path) -> tuple[int, dict[str, Any]]:
-        cells, fraction = _run_basin(scenario, args.k, equilibria, grid, cfg, args.jobs)
+        [(cells, fraction)] = _run_basin(scenario, [args.k], [equilibria], grid, cfg, args.jobs)
         _write_csv(out_dir / "basin.csv", [f.name for f in fields(BasinCell)], map(astuple, cells))
         print(f"fraction_correct={fraction!r}")
         return EXIT_OK, dict(
@@ -315,10 +317,10 @@ def cmd_sweep_gain(args: argparse.Namespace) -> Run:
 
     def run(out_dir: Path) -> tuple[int, dict[str, Any]]:
         rows = []
-        for k, eqs in zip(gains, catalogues):
+        basins = _run_basin(scenario, gains, catalogues, grid, cfg, args.jobs)
+        for (_, fraction), k, eqs in zip(basins, gains, catalogues):  # the pool closes as basins ends
             regime = classify_gain(k).regime
             stable = sum(1 for e in eqs if e.stability == STABLE)
-            _, fraction = _run_basin(scenario, k, eqs, grid, cfg, args.jobs)
             rows.append([k, regime, len(eqs), stable, fraction])
             print(
                 f"K={k!r}: regime={regime} equilibria={len(eqs)} stable={stable} "

@@ -205,7 +205,7 @@ def compile_field(
     n = plan.graph.n
     if uses_array_kernel(n):
         m, a = 2 * (plan.pair - 1), 2 * (plan.root - 1)
-        unpack = f"x{a}, y{a}, x{m}, y{m} = p[{a}], p[{a + 1}], p[{m}], p[{m + 1}]"
+        unpack = f"x{a}, y{a}, x{m}, y{m} = p.item({a}), p.item({a + 1}), p.item({m}), p.item({m + 1})"
         ops = field_lines(plan, "out[{}]", frozenset(plan.processing_order[2:]))  # the root and the pair
         ops.append("xM, yM, xF, yF, xS, yS = p.take(gather)")
         ops += _TRIANGLE_OP.format(m="M", f="F", s="S", k="", dx="out[tm]", dy="out[tm1]").split("\n")
@@ -217,11 +217,11 @@ def compile_field(
 
 
 def field_names(plan: HierarchyPlan, df: DesiredFormation, *, k_gain: float, kappa: float = 1.0) -> dict:
-    """The values the field's ops read, by name: d2, kg and kap, then on lists
-    z_star0, z_star1, ... per triangle, and on arrays one z_star column with
-    the gather indices (rows: x, y of every triangle's agent, first base,
-    second base) and tm, tm1, the agents' x and y offsets."""
-    names = {"d2": df.d_star * df.d_star, "kg": k_gain, "kap": kappa}
+    """The values the field's ops read, by name: d2, kg and nkap = -kappa, then
+    on lists z_star0, z_star1, ... per triangle, and on arrays one z_star
+    column with the gather indices (rows: x, y of every triangle's agent, first
+    base, second base) and tm, tm1, the agents' x and y offsets."""
+    names = {"d2": df.d_star * df.d_star, "kg": k_gain, "nkap": -kappa}
     z_star = [df.z_star(t.clique_index) for t in plan.triangles]
     if not uses_array_kernel(plan.graph.n):
         return names | {f"z_star{k}": z for k, z in enumerate(z_star)}
@@ -254,15 +254,16 @@ def field_lines(plan: HierarchyPlan, out: str, rest: Container[int] = ()) -> lis
 # The field's ops, with x{m}, y{m} holding agent m's coordinates: scalars, or
 # on arrays the columns xM, yM, xF, yF, xS, yS of all triangle agents.  They
 # state the lines of their references, potentials.pair_gradient and
-# potentials._corner_gradient.  The sources hold only integer offsets and
-# names, so non-finite values behave as in any other evaluation and plans of
-# one shape share one code object.
+# potentials._corner_gradient, and each control entry is one multiply by
+# nkap = -kappa, as in control_field.  The sources hold only integer offsets
+# and names, so non-finite values behave as in any other evaluation and plans
+# of one shape share one code object.
 _PAIR_OP = """\
 ex = x{m} - x{a}
 ey = y{m} - y{a}
 err = (ex * ex + ey * ey) - d2
-{dx} = -(kap * (err * ex))
-{dy} = -(kap * (err * ey))"""
+{dx} = nkap * (err * ex)
+{dy} = nkap * (err * ey)"""
 _TRIANGLE_OP = """\
 e1x = x{m} - x{f}
 e1y = y{m} - y{f}
@@ -278,8 +279,8 @@ z = 0.5 * (bx * e1y - e1x * by)
 area = kg * (z - z_star{k})
 gx = c1 * e1x + c2 * e2x + area * qx
 gy = c1 * e1y + c2 * e2y + area * qy
-{dx} = -(kap * gx)
-{dy} = -(kap * gy)"""
+{dx} = nkap * gx
+{dy} = nkap * gy"""
 
 _compile = lru_cache(maxsize=32)(compile)  # keyed by the source text
 
@@ -329,7 +330,7 @@ def run(p, u, *, {params}):
 """
 
 # The numpy bodies: whole-array statements on float64 p, u and stages k2-k4.
-_ARRAY_NORM = ["gmax2 = float((u[0::2] * u[0::2] + u[1::2] * u[1::2]).max())"]
+_ARRAY_NORM = ["v = u * u", "gmax2 = float((v[0::2] + v[1::2]).max())"]
 _ARRAY_ADVANCE = {
     "rk4": [
         "field(p + half * u, k2)",

@@ -150,14 +150,14 @@ def control_field(
     g = pair_gradient(
         PairPotentialSpec(df.d_star), positions[plan.root - 1], positions[plan.pair - 1], wrt="j"
     )
-    out[plan.pair - 1] = PlanarVector(-(kappa * g.dx), -(kappa * g.dy))
+    out[plan.pair - 1] = PlanarVector(-kappa * g.dx, -kappa * g.dy)
     for t in plan.triangles:
         spec = TrianglePotentialSpec(
             d_star=df.d_star, z_star=df.z_star(t.clique_index), k_gain=k_gain
         )
         corners = (positions[t.base1 - 1], positions[t.base2 - 1], positions[t.agent - 1])
         g = triangle_gradient(spec, *corners, wrt="k")
-        out[t.agent - 1] = PlanarVector(-(kappa * g.dx), -(kappa * g.dy))
+        out[t.agent - 1] = PlanarVector(-kappa * g.dx, -kappa * g.dy)
     return out
 
 

@@ -856,8 +856,8 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 @pytest.mark.parametrize(
@@ -874,6 +874,29 @@ def test_basin_jobs_capped_by_cpus_and_cells(tmp_path, monkeypatch, jobs, grid, 
     assert RecordingPool.sizes == sizes
     assert run_cli("basin", "--k", 20.0, "--grid", grid, "--out-dir", b) == 0
     assert (a / "basin.csv").read_bytes() == (b / "basin.csv").read_bytes()
+
+
+def test_sweep_gain_opens_one_pool_and_reports_each_gain_as_it_arrives(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(triform.cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(triform.cli.os, "cpu_count", lambda: 8)
+    probe = triform.cli.probe_points
+
+    def announced(plan, df, cfg, k_gain, *args):
+        print(f"probe {k_gain!r}")
+        return probe(plan, df, cfg, k_gain, *args)
+
+    monkeypatch.setattr(triform.cli, "probe_points", announced)
+    a, b = tmp_path / "a", tmp_path / "b"
+    argv = ["sweep-gain", "--k-range", "0.4:2.0:0.4", "--grid", "3x1"]
+    assert run_cli(*argv, "--jobs", 2, "--out-dir", a) == 0
+    assert RecordingPool.sizes == [2]  # one pool for all five gains
+    # each gain's two batches run, then its line prints, before the next gain's
+    words = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    assert words == [w for k in ("0.4", "0.8", "1.2", "1.6", "2.0") for w in (f"probe {k}",) * 2 + (f"K={k}",)]
+    assert run_cli(*argv, "--jobs", 1, "--out-dir", b) == 0
+    assert RecordingPool.sizes == [2]
+    assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dis
 import math
 import random
 import re
@@ -617,6 +618,28 @@ def test_generated_step_holds_no_float(monkeypatch, method):
         assert floats_held(code) <= {0.0, 0.5, -0.5}
 
 
+def negations(code):
+    """The UNARY_NEGATIVE instructions of ``code`` and of every code object it holds."""
+    own = [i for i in dis.get_instructions(code) if i.opname == "UNARY_NEGATIVE"]
+    return own + [i for c in code.co_consts if hasattr(c, "co_consts") for i in negations(c)]
+
+
+@pytest.mark.parametrize("arrays", [False, True], ids=["lists", "arrays"])
+def test_each_generated_control_entry_is_one_multiply(monkeypatch, arrays):
+    # nkap = -kappa is bound by name, so no op and no generated step negates
+    assert "-(" not in dynamics._PAIR_OP + dynamics._TRIANGLE_OP
+    monkeypatch.setattr(dynamics, "ARRAY_MIN_AGENTS", 3 if arrays else 60)
+    codes = compiled_runs(monkeypatch)
+    df, plan = triangle_setup()
+    cfg = IntegratorConfig(t_max=0.01)
+    assert simulate(plan, df, pinned_init(0.3, 1.1), cfg, k_gain=20.0).steps > 0  # a basin cell
+    scenario = resolve(load_scenario(SCENARIOS / "paper10-two-columns-k20.json"))
+    assert simulate(scenario.plan, scenario.formation, scenario.initial_positions, cfg, k_gain=20.0).steps > 0
+    assert len(codes) == 4  # a field and a loop per shape
+    for code in codes:
+        assert negations(code) == []
+
+
 def test_runs_of_one_shape_share_one_compiled_code_object(monkeypatch):
     codes = compiled_runs(monkeypatch)
     graph = build_example_graph()
@@ -646,7 +669,8 @@ def test_simulate_rejects_wrong_agent_count():
 def run_basin(grid, k_gain, cfg=IntegratorConfig()):
     """Cells and correct fraction of the pinned-triangle basin map (d_star 2) over ``grid``."""
     scenario = resolve(make_builtin_scenario("triangle", k_gain=1.0, d_star=2.0))
-    return _run_basin(scenario, k_gain, enumerate_triangle_equilibria(1.0, k_gain), grid, cfg, 1)
+    [basin] = _run_basin(scenario, [k_gain], [enumerate_triangle_equilibria(1.0, k_gain)], grid, cfg, 1)
+    return basin
 
 
 def test_basin_high_gain_all_correct():

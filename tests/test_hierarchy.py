@@ -289,12 +289,12 @@ def test_compiled_field_keeps_infinite_targets(rng, setup):
         q, r = pts[plan.pair - 1], pts[plan.root - 1]
         ex, ey = q.x - r.x, q.y - r.y
         err = (ex * ex + ey * ey) - d2
-        want[2 * plan.pair - 2 : 2 * plan.pair] = [-(kappa * (err * ex)), -(kappa * (err * ey))]
+        want[2 * plan.pair - 2 : 2 * plan.pair] = [-kappa * (err * ex), -kappa * (err * ey)]
         for t in plan.triangles:
             q, f, s = pts[t.agent - 1], pts[t.base1 - 1], pts[t.base2 - 1]
             z_star = df.z_star(t.clique_index)
             gx, gy = _corner_gradient(d2, 20.0, z_star, f.x, f.y, s.x, s.y, q.x, q.y)
-            want[2 * t.agent - 2 : 2 * t.agent] = [-(kappa * gx), -(kappa * gy)]
+            want[2 * t.agent - 2 : 2 * t.agent] = [-kappa * gx, -kappa * gy]
         assert np.array(out).tobytes() == np.array(want).tobytes()  # NaN signs too
         values += want
     assert math.isinf(d2) and {"inf", "-inf", "nan"} <= set(map(str, values))
