@@ -26,6 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SQRT3, Position, require_positive
+from .graph import DesiredFormation
+from .hierarchy import HierarchyPlan
 from .potentials import (
     TrianglePotentialSpec,
     _corner_gradient,
@@ -286,27 +288,34 @@ def match_equilibrium(equilibria: list[Equilibrium], point: Position) -> Equilib
     return best
 
 
-def judge_triangle(equilibria, d_star: float, base1: Position, base2: Position, apex: Position) -> dict:
-    """Where a triangle's apex ended: the one label of ``basin`` cells and ``simulate`` runs.
+def terminal_equilibrium(plan: HierarchyPlan, df: DesiredFormation, k_gain: float, final: list[Position]) -> dict:
+    """Where a run's triangles ended: the one label of ``simulate`` runs and ``basin`` cells.
 
-    The base is ordered so that the target apex lies on its positive side, as
-    the catalogue's does.  ``equilibria`` is the catalogue for a = d_star/2,
-    or the ValueError raised building it.  A match gives ``matched``,
-    ``stability``, ``in_target_set`` and ``canonical_xy``; otherwise
-    ``matched`` is None and ``detail`` says why.
+    The plan's triangles (it needs one) are judged in processing order, each
+    apex over its base ordered by the clique's sign, so the target lies above
+    it as in the catalogue; the verdict is on the first triangle off its
+    target set, else on the last.  A match gives ``matched``, ``stability``, ``in_target_set``
+    and ``canonical_xy``; otherwise ``matched`` is None and ``detail`` says
+    why.  The catalogue for a = d_star/2 is built at most once, after a base
+    check passes; a ValueError building it becomes the detail.
     """
-    # Checked before aligning: coincident base agents have no canonical frame.
-    if abs(math.dist(base1.as_tuple(), base2.as_tuple()) - d_star) > 1e-6 * d_star:
-        return {"matched": None, "detail": "base agents did not settle at d_star"}
-    if isinstance(equilibria, ValueError):  # d_star beyond the catalogue's float range
-        return {"matched": None, "detail": str(equilibria)}
-    _, pk = align_to_pinned_frame(base1, base2, apex)
-    match = match_equilibrium(equilibria, pk)
-    if match is None:
-        return {"matched": None, "detail": "no equilibrium within 1e-4"}
-    return {
-        "matched": match.family,
-        "stability": match.stability,
-        "in_target_set": match.family == FAMILY_APEX,
-        "canonical_xy": [pk.x, pk.y],
-    }
+    d, equilibria = df.d_star, None
+    for tri in plan.triangles:
+        base1, base2, apex = (final[i - 1] for i in (tri.base1, tri.base2, tri.agent))
+        if df.z_star_signs[tri.clique_index] < 0:
+            base1, base2 = base2, base1
+        # Checked before aligning: coincident base agents have no canonical frame.
+        if abs(math.dist(base1.as_tuple(), base2.as_tuple()) - d) > 1e-6 * d:
+            return {"matched": None, "detail": "base agents did not settle at d_star"}
+        try:
+            equilibria = equilibria or enumerate_triangle_equilibria(0.5 * d, k_gain)
+        except ValueError as exc:  # d_star beyond the catalogue's float range
+            return {"matched": None, "detail": str(exc)}
+        _, pk = align_to_pinned_frame(base1, base2, apex)
+        match = match_equilibrium(equilibria, pk)
+        if match is None:
+            return {"matched": None, "detail": "no equilibrium within 1e-4"}
+        if match.family != FAMILY_APEX:
+            break
+    in_target = match.family == FAMILY_APEX
+    return dict(matched=match.family, stability=match.stability, in_target_set=in_target, canonical_xy=[pk.x, pk.y])

@@ -24,7 +24,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .analysis import K_LOW, STABLE, classify_gain, enumerate_triangle_equilibria, judge_triangle
+from .analysis import K_LOW, STABLE, classify_gain, enumerate_triangle_equilibria, terminal_equilibrium
 from .dynamics import (
     CONVERGED,
     DIVERGED,
@@ -37,7 +37,6 @@ from .dynamics import (
     probe_points,
     simulate,
 )
-from .geometry import Position
 # formation_errors is unused here, but kept: perfbench/tracer.py patches this
 # attribute, and test_tracer_call_sites_resolve checks that it exists.
 from .graph import _BLOCK_VALUES, formation_errors
@@ -183,30 +182,12 @@ def cmd_simulate(args: argparse.Namespace) -> Run:
         if result.diverged_at is not None:
             manifest["diverged_at"] = result.diverged_at
         if result.reason == CONVERGED and scenario.plan.triangles:
-            manifest["terminal_equilibrium"] = _terminal_equilibrium(scenario, result.final_positions())
+            verdict = terminal_equilibrium(scenario.plan, scenario.formation, config.k_gain, result.final_positions())
+            manifest["terminal_equilibrium"] = verdict
         print(f"{result.reason}: t={result.t_final:.3f} max_dist_err={dist_err:.3e} max_area_err={area_err:.3e}")
         return _REASON_EXIT[result.reason], manifest
 
     return run
-
-
-def _terminal_equilibrium(scenario, final: list[Position]) -> dict[str, Any]:
-    """Judge the plan's triangles in processing order, each apex over its base
-    ordered by the clique's sign; the verdict on the first triangle off its
-    target set, else on the last."""
-    d = scenario.formation.d_star
-    try:
-        eqs = enumerate_triangle_equilibria(0.5 * d, scenario.config.k_gain)
-    except ValueError as exc:  # judged after the base check, as the detail of a settled triangle
-        eqs = exc
-    for tri in scenario.plan.triangles:
-        base1, base2, apex = (final[i - 1] for i in (tri.base1, tri.base2, tri.agent))
-        if scenario.formation.z_star_signs[tri.clique_index] < 0:
-            base1, base2 = base2, base1
-        verdict = judge_triangle(eqs, d, base1, base2, apex)
-        if not verdict.get("in_target_set"):
-            break
-    return verdict
 
 
 def cmd_analyze(args: argparse.Namespace) -> Run:
@@ -271,7 +252,7 @@ def ProcessPoolExecutor(max_workers: int):
 
 
 def _run_basin(
-    scenario, gains: Sequence[float], catalogues: Sequence, grid: GridSpec, cfg: IntegratorConfig, jobs: int
+    scenario, gains: Sequence[float], grid: GridSpec, cfg: IntegratorConfig, jobs: int
 ) -> Iterator[tuple[list[BasinCell], float | None]]:
     """Probe every grid cell at every gain through one pool of at most ``jobs`` workers;
     yield each gain's cells and correct fraction (None when empty) as they arrive."""
@@ -280,7 +261,7 @@ def _run_basin(
     chunk = (len(points) + jobs - 1) // jobs if jobs else 1
     batches = [points[i : i + chunk] for i in range(0, len(points), chunk)]
     worker = partial(probe_points, scenario.plan, scenario.formation, cfg)
-    tasks = [k for k in gains for _ in batches], [e for e in catalogues for _ in batches], batches * len(gains)
+    tasks = [k for k in gains for _ in batches], batches * len(gains)
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         done = (pool.map if pool else map)(worker, *tasks)
         for _ in gains:  # zip takes a batch first, so it stops before the next gain's results
@@ -292,10 +273,10 @@ def _run_basin(
 def cmd_basin(args: argparse.Namespace) -> Run:
     if not args.k > 0:
         raise ConfigError("--k", f"need a positive gain, got {args.k}")
-    scenario, grid, cfg, (equilibria,) = _basin_setup(args, [args.k])
+    scenario, grid, cfg, _ = _basin_setup(args, [args.k])
 
     def run(out_dir: Path) -> tuple[int, dict[str, Any]]:
-        [(cells, fraction)] = _run_basin(scenario, [args.k], [equilibria], grid, cfg, args.jobs)
+        [(cells, fraction)] = _run_basin(scenario, [args.k], grid, cfg, args.jobs)
         _write_csv(out_dir / "basin.csv", [f.name for f in fields(BasinCell)], map(astuple, cells))
         print(f"fraction_correct={fraction!r}")
         return EXIT_OK, dict(
@@ -317,7 +298,7 @@ def cmd_sweep_gain(args: argparse.Namespace) -> Run:
 
     def run(out_dir: Path) -> tuple[int, dict[str, Any]]:
         rows = []
-        basins = _run_basin(scenario, gains, catalogues, grid, cfg, args.jobs)
+        basins = _run_basin(scenario, gains, grid, cfg, args.jobs)
         for (_, fraction), k, eqs in zip(basins, gains, catalogues):  # the pool closes as basins ends
             regime = classify_gain(k).regime
             stable = sum(1 for e in eqs if e.stability == STABLE)

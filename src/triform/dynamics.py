@@ -22,7 +22,7 @@ from typing import Callable, Container, Sequence
 
 import numpy as np
 
-from .analysis import judge_triangle
+from .analysis import terminal_equilibrium
 from .geometry import Position, require_positive
 from .graph import DesiredFormation, formation_errors
 from .hierarchy import HierarchyPlan
@@ -438,9 +438,12 @@ class GridSpec:
 
     def points(self) -> list[tuple[int, int, float, float]]:
         def axis(lo: float, hi: float, count: int, idx: int) -> float:
-            if count == 1:
+            # Each half steps in from its own end: both ends are exact, and ±w mirrors exactly.
+            if 2 * idx + 1 == count:  # the centre of an odd axis, and a 1-point axis
                 return 0.5 * (lo + hi)
-            return lo + idx * (hi - lo) / (count - 1)
+            if 2 * idx < count:
+                return lo + idx * (hi - lo) / (count - 1)
+            return hi - (count - 1 - idx) * (hi - lo) / (count - 1)
 
         return [
             (ix, iy, axis(self.xmin, self.xmax, self.nx, ix), axis(self.ymin, self.ymax, self.ny, iy))
@@ -467,17 +470,16 @@ def probe_points(
     df: DesiredFormation,
     cfg: IntegratorConfig,
     k_gain: float,
-    equilibria: Sequence,
     points: Sequence[tuple[int, int, float, float]],
 ) -> list[BasinCell]:
     """Run one pinned-triangle probe per point and label the terminal state.
 
     Agents 1 and 2 start on the pins (-a, 0) and (a, 0) with a = d_star/2 and
     never move; agent 3 starts at the point.  Each converged run is judged by
-    :func:`~triform.analysis.judge_triangle` over the pins: "correct" for the
-    target apex, "incorrect" for any other equilibrium, "unresolved" when
-    nothing matches within 1e-4 or the run did not converge.  An error
-    raised by one cell's run propagates and aborts the sweep.  Distinct
+    :func:`~triform.analysis.terminal_equilibrium`, as ``simulate`` runs are:
+    "correct" for the target apex, "incorrect" for any other equilibrium,
+    "unresolved" when nothing matches within 1e-4 or the run did not converge.
+    An error raised by one cell's run propagates and aborts the sweep.  Distinct
     points are independent, so callers may split them across worker processes.
     """
     if plan.graph.n != 3:
@@ -487,14 +489,13 @@ def probe_points(
     cells: list[BasinCell] = []
     for ix, iy, x0, y0 in points:
         result = simulate(plan, df, [*pins, Position(x0, y0)], cfg, k_gain=k_gain)
-        fx, fy = (float(v) for v in result.trajectory.states[-1][2])
+        final = result.final_positions()
         label = LABEL_UNRESOLVED
         family = None
         if result.converged:
-            verdict = judge_triangle(equilibria, df.d_star, *pins, Position(fx, fy))
+            verdict = terminal_equilibrium(plan, df, k_gain, final)
             family = verdict["matched"]
             if family is not None:
                 label = LABEL_CORRECT if verdict["in_target_set"] else LABEL_INCORRECT
-        cells.append(BasinCell(ix, iy, x0, y0, label, result.reason, fx, fy, family))
+        cells.append(BasinCell(ix, iy, x0, y0, label, result.reason, *final[2].as_tuple(), family))
     return cells
-

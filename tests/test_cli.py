@@ -466,6 +466,67 @@ def test_basin_cells_and_simulate_share_one_judge(tmp_path, k_gain):
         assert (label["matched"] or "") == cell["matched_family"]
 
 
+# (ix, iy) of the 5x5 cells over the default window that simulate re-runs;
+# at K=0.6 the two in the bottom rows end flipped, below the axis.
+VERDICT_CELLS = [(0, 0), (2, 1), (1, 2), (3, 3), (4, 4)]
+
+
+@pytest.mark.parametrize("k_gain", [0.6, 20.0])
+def test_basin_row_is_the_simulate_verdict_and_final_apex(tmp_path, k_gain):
+    # One judge for both commands: each basin.csv row names the family and
+    # the final apex of a simulate run of the triangle scenario from its start.
+    assert run_cli("basin", "--k", k_gain, "--grid", "5x5", "--out-dir", tmp_path / "basin") == 0
+    with open(tmp_path / "basin" / "basin.csv", newline="") as fh:
+        rows = {(int(r["ix"]), int(r["iy"])): r for r in csv.DictReader(fh)}
+    families = set()
+    for ix, iy in VERDICT_CELLS:
+        row = rows[ix, iy]
+        start = ((-1.0, 0.0), (1.0, 0.0), (float(row["x0"]), float(row["y0"])))
+        cfg = triangle_config(k_gain=k_gain, initial=InitialSpec(positions=start), integrator=IntegratorConfig())
+        cfg_path = tmp_path / "tri.json"
+        save_scenario(cfg, cfg_path)
+        out = tmp_path / f"cell-{ix}-{iy}"
+        assert run_cli("simulate", "--config", cfg_path, "--out-dir", out) == 0
+        assert row["matched_family"] == strict_manifest(out)["terminal_equilibrium"]["matched"]
+        with open(out / "trajectory.csv", newline="") as fh:
+            *_, last = csv.DictReader(fh)
+        assert (float(row["x_final"]), float(row["y_final"])) == (float(last["x_3"]), float(last["y_3"]))
+        families.add(row["matched_family"])
+    assert families == ({"apex-correct", "below-axis"} if k_gain < 1.0 else {"apex-correct"})
+
+
+def _count_catalogue_builds(monkeypatch) -> list:
+    builds = []
+    build = triform.analysis.enumerate_triangle_equilibria
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(triform.analysis, "enumerate_triangle_equilibria", counted)
+    return builds
+
+
+def test_converged_paper10_verdict_builds_the_catalogue_once(tmp_path, monkeypatch):
+    builds = _count_catalogue_builds(monkeypatch)
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--config", SCENARIOS / "paper10-two-columns-k20.json", "--out-dir", out) == 0
+    assert strict_manifest(out)["terminal_equilibrium"]["in_target_set"] is True
+    assert builds == [(1.0, 20.0)]  # one build judges all eight triangles
+
+
+def test_unsettled_base_verdict_builds_no_catalogue(tmp_path, monkeypatch):
+    d_star, start, label = UNLABELLED_TRIANGLES["coincident-base"]
+    cfg = triangle_config(k_gain=0.6, d_star=d_star, initial=InitialSpec(positions=start))
+    cfg_path = tmp_path / "tri.json"
+    save_scenario(cfg, cfg_path)
+    builds = _count_catalogue_builds(monkeypatch)
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--config", cfg_path, "--out-dir", out) == 0
+    assert strict_manifest(out)["terminal_equilibrium"] == label
+    assert builds == []
+
+
 def test_simulate_config_error_exit_code_and_manifest_only(tmp_path):
     doc = config_to_dict(triangle_config())
     doc["k_gain"] = -1.0

@@ -669,7 +669,7 @@ def test_simulate_rejects_wrong_agent_count():
 def run_basin(grid, k_gain, cfg=IntegratorConfig()):
     """Cells and correct fraction of the pinned-triangle basin map (d_star 2) over ``grid``."""
     scenario = resolve(make_builtin_scenario("triangle", k_gain=1.0, d_star=2.0))
-    [basin] = _run_basin(scenario, [k_gain], [enumerate_triangle_equilibria(1.0, k_gain)], grid, cfg, 1)
+    [basin] = _run_basin(scenario, [k_gain], grid, cfg, 1)
     return basin
 
 
@@ -709,9 +709,32 @@ def test_basin_requires_three_agents():
     g = build_example_graph()
     df = DesiredFormation(g, 2.0)
     plan = build_hierarchy(g, (1, 2))
-    eqs = enumerate_triangle_equilibria(1.0, 20.0)
     with pytest.raises(ValueError):
-        probe_points(plan, df, IntegratorConfig(), 20.0, eqs, GridSpec(2, 2, -1, 1, -1, 1).points())
+        probe_points(plan, df, IntegratorConfig(), 20.0, GridSpec(2, 2, -1, 1, -1, 1).points())
+
+
+@pytest.mark.parametrize("count", range(1, 12))
+def test_grid_points_mirror_a_symmetric_window_and_end_exactly(count):
+    # Each half of an axis steps in from its own end, so a window -w..w gives
+    # points with x[i] == -x[count-1-i] bit for bit, and both ends are exact.
+    rng = random.Random(count)
+    for w in [2.9, 3.0, 1e-3, *(rng.uniform(0.1, 10.0) for _ in range(200))]:
+        xs = [x for _, _, x, _ in GridSpec(count, 1, -w, w, 0.0, 0.0).points()]
+        assert xs == [-x for x in reversed(xs)], (w, xs)
+        if count > 1:
+            assert (xs[0], xs[-1]) == (-w, w)
+    lo, hi = sorted(rng.uniform(-10.0, 10.0) for _ in range(2))
+    ys = [y for _, _, _, y in GridSpec(1, count, 0.0, 0.0, lo, hi).points()]
+    assert ys == sorted(ys)
+    if count > 1:
+        assert (ys[0], ys[-1]) == (lo, hi)
+
+
+def test_grid_points_of_the_reported_windows():
+    xs = [x for _, _, x, _ in GridSpec(5, 1, -2.9, 2.9, 2.0, 2.0).points()]
+    assert xs == [-2.9, -1.45, 0.0, 1.45, 2.9]
+    assert GridSpec(7, 1, -1.0, 2.2, 0.0, 0.0).points()[-1][2] == 2.2
+    assert str(GridSpec(1, 1, -0.0, -0.0, -0.0, -0.0).points()) == "[(0, 0, -0.0, -0.0)]"
 
 
 def test_grid_points_order_and_midpoint():
