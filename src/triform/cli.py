@@ -137,16 +137,16 @@ def _parse_k_range(text: str) -> list[float]:
     return out
 
 
+def _integrator(base: IntegratorConfig, args: argparse.Namespace) -> IntegratorConfig:
+    """``base`` with the --dt and --t-max given on the command line, checked together."""
+    return replace(base, **{k: v for k, v in dict(dt=args.dt, t_max=args.t_max).items() if v is not None})
+
+
 def cmd_simulate(args: argparse.Namespace) -> Run:
     config = load_scenario(args.config)
     if args.k is not None:
         config = replace(config, k_gain=args.k)
-    integ = config.integrator
-    if args.dt is not None:
-        integ = replace(integ, dt=args.dt)
-    if args.t_max is not None:
-        integ = replace(integ, t_max=args.t_max)
-    config = replace(config, integrator=integ)
+    config = replace(config, integrator=_integrator(config.integrator, args))
     if args.seed is not None:
         if config.initial.box is None:
             raise ConfigError("--seed", "the scenario has no random box to reseed")
@@ -236,7 +236,7 @@ def _basin_setup(args: argparse.Namespace, gains: list[float]):
     if nx * ny > _MAX_CELLS:
         raise ConfigError("--grid", f"more than {_MAX_CELLS} cells in {args.grid!r}")
     grid = GridSpec(nx=nx, ny=ny, xmin=args.xmin, xmax=args.xmax, ymin=args.ymin, ymax=args.ymax)
-    cfg = IntegratorConfig(dt=args.dt, t_max=args.t_max)
+    cfg = _integrator(IntegratorConfig(), args)
     if args.jobs < 1:
         raise ConfigError("--jobs", f"need at least one worker, got {args.jobs}")
     scenario = resolve(make_builtin_scenario("triangle", k_gain=1.0, d_star=args.d_star))
@@ -363,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     grid_run.add_argument("--xmax", type=float, default=3.0)
     grid_run.add_argument("--ymin", type=float, default=-3.0)
     grid_run.add_argument("--ymax", type=float, default=3.0)
-    grid_run.add_argument("--dt", type=float, default=1e-3)
-    grid_run.add_argument("--t-max", type=float, default=50.0)
+    grid_run.add_argument("--dt", type=float, default=None, help="time step (default: the integrator's)")
+    grid_run.add_argument("--t-max", type=float, default=None, help="time budget (default: the integrator's)")
     grid_run.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     grid_run.add_argument("--out-dir", default="out", help="artifact directory")
 

@@ -13,7 +13,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -61,26 +61,24 @@ class InitialSpec:
                 raise ConfigError("initial.box", f"degenerate box {self.box}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
     graph: str | FormationGraph
     root_edge: tuple[int, int]
     d_star: float
     k_gain: float
+    kappa: float = 1.0
     initial: InitialSpec
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
-    kappa: float = 1.0
     z_star_signs: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if isinstance(self.graph, str) and self.graph not in BUILTIN_GRAPHS:
             raise ConfigError("graph", f"unknown builtin graph {self.graph!r}")
-        if not (math.isfinite(self.d_star) and self.d_star > 0):
-            raise ConfigError("d_star", f"must be finite and positive, got {self.d_star}")
-        if not (math.isfinite(self.k_gain) and self.k_gain > 0):
-            raise ConfigError("k_gain", f"must be finite and positive, got {self.k_gain}")
-        if not (math.isfinite(self.kappa) and self.kappa > 0):
-            raise ConfigError("kappa", f"must be finite and positive, got {self.kappa}")
+        for name in ("d_star", "k_gain", "kappa"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(name, f"must be finite and positive, got {value}")
 
 
 def builtin_graph(name: str) -> FormationGraph:
@@ -152,34 +150,20 @@ def resolve(config: ScenarioConfig) -> ResolvedScenario:
 # JSON round trip
 # ---------------------------------------------------------------------------
 
+def _set_fields(obj: Any) -> dict[str, Any]:
+    """A config dataclass's fields that are not None, by name, in field order: its document's keys."""
+    return {f.name: value for f in fields(obj) if (value := getattr(obj, f.name)) is not None}
+
+
 def config_to_dict(config: ScenarioConfig) -> dict[str, Any]:
-    if isinstance(config.graph, str):
-        graph: Any = config.graph
-    else:
-        graph = {
+    nested = (InitialSpec, IntegratorConfig)
+    out = {name: _set_fields(v) if isinstance(v, nested) else v for name, v in _set_fields(config).items()}
+    if not isinstance(config.graph, str):
+        out["graph"] = {
             "n": config.graph.n,
-            "edges": [list(e) for e in sorted(config.graph.edges)],
-            "cliques": [list(c) for c in config.graph.cliques],
+            "edges": sorted(config.graph.edges),
+            "cliques": config.graph.cliques,
         }
-    initial: dict[str, Any] = {}
-    if config.initial.positions is not None:
-        initial["positions"] = [list(p) for p in config.initial.positions]
-    elif config.initial.layout is not None:
-        initial["layout"] = config.initial.layout
-    else:
-        initial["seed"] = config.initial.seed
-        initial["box"] = list(config.initial.box)
-    out: dict[str, Any] = {
-        "graph": graph,
-        "root_edge": list(config.root_edge),
-        "d_star": config.d_star,
-        "k_gain": config.k_gain,
-        "kappa": config.kappa,
-        "initial": initial,
-        "integrator": asdict(config.integrator),
-    }
-    if config.z_star_signs is not None:
-        out["z_star_signs"] = list(config.z_star_signs)
     return out
 
 
@@ -222,6 +206,7 @@ def _ints(values: Any, path: str, count: int | None = None) -> tuple[int, ...]:
 
 _FLOAT_MAX = sys.float_info.max
 _LISTS, _INTS, _NUMBERS = frozenset((list, tuple)), frozenset((int,)), frozenset((int, float))
+_INITIAL_KEYS, _INTEGRATOR_KEYS = (frozenset(f.name for f in fields(c)) for c in (InitialSpec, IntegratorConfig))
 
 
 def _is_number(value: Any) -> bool:
@@ -294,7 +279,7 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
     elif not isinstance(graph, str):
         raise ConfigError("graph", "expected a builtin name or an object")
 
-    init = _object(doc["initial"], "initial", (), ("positions", "layout", "seed", "box"))
+    init = _object(doc["initial"], "initial", (), _INITIAL_KEYS)
     initial = InitialSpec(
         positions=_rows(init["positions"], "initial.positions", 2, numbers=True) if "positions" in init else None,
         layout=init.get("layout"),
@@ -302,8 +287,7 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
         box=_box(init["box"]) if "box" in init else None,
     )
 
-    allowed = {f.name for f in fields(IntegratorConfig)}
-    raw_integrator = _object(doc.get("integrator", {}), "integrator", (), allowed)
+    raw_integrator = _object(doc.get("integrator", {}), "integrator", (), _INTEGRATOR_KEYS)
     if "record_stride" in raw_integrator:
         _int(raw_integrator["record_stride"], "integrator.record_stride")
     for key in ("dt", "t_max", "grad_norm_tol", "divergence_bound"):

@@ -80,6 +80,101 @@ def test_config_round_trip_layout():
     assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_resaving_a_shipped_scenario_reproduces_its_bytes(tmp_path, path):
+    # pins the written key order: a config's fields in declaration order
+    save_scenario(load_scenario(path), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+_DEFAULT_INTEGRATOR = {
+    "method": "rk4",
+    "dt": 0.001,
+    "t_max": 50.0,
+    "grad_norm_tol": 1e-09,
+    "record_stride": 100,
+    "divergence_bound": 1e6,
+}
+
+# name -> (config, the document it writes); one config per InitialSpec mode,
+# and an explicit graph with orientation signs
+WRITTEN_DOCUMENTS = {
+    "positions": (
+        triangle_config(),
+        {
+            "graph": "triangle", "root_edge": [1, 2], "d_star": 2.0, "k_gain": 20.0, "kappa": 1.0,
+            "initial": {"positions": [[-1.0, 0.0], [1.0, 0.0], [0.5, 0.5]]},
+            "integrator": {**_DEFAULT_INTEGRATOR, "record_stride": 200},
+        },
+    ),
+    "layout": (
+        make_builtin_scenario("paper-10", k_gain=20.0),
+        {
+            "graph": "paper-10", "root_edge": [1, 2], "d_star": 2.0, "k_gain": 20.0, "kappa": 1.0,
+            "initial": {"layout": "two-columns"},
+            "integrator": _DEFAULT_INTEGRATOR,
+        },
+    ),
+    "seed-box": (
+        triangle_config(
+            initial=InitialSpec(seed=11, box=(-2.0, 2.0, -3, 3)),
+            kappa=1.25,
+            integrator=IntegratorConfig(method="euler", dt=2e-3, t_max=10.0),
+        ),
+        {
+            "graph": "triangle", "root_edge": [1, 2], "d_star": 2.0, "k_gain": 20.0, "kappa": 1.25,
+            "initial": {"seed": 11, "box": [-2.0, 2.0, -3, 3]},
+            "integrator": {**_DEFAULT_INTEGRATOR, "method": "euler", "dt": 0.002, "t_max": 10.0},
+        },
+    ),
+    "explicit-graph": (
+        ScenarioConfig(
+            graph=FormationGraph(4, [(1, 2), (2, 3), (1, 3), (3, 4), (2, 4)], [(1, 2, 3), (2, 3, 4)]),
+            root_edge=(1, 2),
+            d_star=1.5,
+            k_gain=0.6,
+            initial=InitialSpec(positions=((0.0, 0.0), (1.5, 0.0), (0.7, 1.3), (2.2, 1.2))),
+            z_star_signs=(1, -1),
+        ),
+        {
+            "graph": {
+                "n": 4,
+                "edges": [[1, 2], [1, 3], [2, 3], [2, 4], [3, 4]],
+                "cliques": [[1, 2, 3], [2, 3, 4]],
+            },
+            "root_edge": [1, 2], "d_star": 1.5, "k_gain": 0.6, "kappa": 1.0,
+            "initial": {"positions": [[0.0, 0.0], [1.5, 0.0], [0.7, 1.3], [2.2, 1.2]]},
+            "integrator": _DEFAULT_INTEGRATOR,
+            "z_star_signs": [1, -1],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WRITTEN_DOCUMENTS)
+def test_config_writes_its_pinned_document_and_reads_back(tmp_path, name):
+    cfg, document = WRITTEN_DOCUMENTS[name]
+    written = config_to_dict(cfg)
+    assert json.dumps(written, sort_keys=True) == json.dumps(document, sort_keys=True)
+    assert config_from_dict(written) == cfg
+    save_scenario(cfg, tmp_path / "scenario.json")
+    assert load_scenario(tmp_path / "scenario.json") == cfg
+
+
+def test_scenario_config_is_keyword_only():
+    with pytest.raises(TypeError):
+        ScenarioConfig("triangle", (1, 2), 2.0, 20.0, 1.0, InitialSpec(layout="two-columns"))
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf], ids=str)
+@pytest.mark.parametrize("name", ["d_star", "k_gain", "kappa"])
+def test_scenario_settings_refuse_zero_negative_and_non_finite(name, value):
+    with pytest.raises(ConfigError) as info:
+        triangle_config(**{name: value})
+    assert info.value.field_path == name
+    assert str(info.value) == f"{name}: must be finite and positive, got {value}"
+
+
 def test_two_columns_layout_shape():
     pts = two_columns_layout(10, 2.0)
     assert len(pts) == 10
@@ -1032,6 +1127,35 @@ def test_rejected_inputs_write_a_config_error_manifest(tmp_path, argv, field):
 def test_negative_bounds_read_as_values_in_any_float_notation(text):
     args = triform.cli.build_parser().parse_args(["basin", "--k", "20", "--xmin", text])
     assert args.xmin == float(text)
+
+
+@pytest.mark.parametrize(
+    "flags, code",
+    [(["--dt", "4e-6", "--t-max", "0.01"], 2), (["--dt", "60", "--t-max", "100"], 3)],
+    ids=["fine-step-short-budget", "coarse-step-long-budget"],
+)
+def test_simulate_applies_dt_and_t_max_together(tmp_path, flags, code):
+    # Each pair is valid, but neither flag is valid against the scenario's
+    # other setting (dt=1e-3, t_max=50); applied one at a time, both exited 64.
+    out = tmp_path / "run"
+    config = SCENARIOS / "triangle-flip-k06.json"
+    assert run_cli("simulate", "--config", config, *flags, "--out-dir", out) == code
+    integrator = strict_manifest(out)["config"]["integrator"]
+    assert [integrator["dt"], integrator["t_max"]] == [float(flags[1]), float(flags[3])]
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        ([], IntegratorConfig()),
+        (["--dt", "2e-3"], IntegratorConfig(dt=2e-3)),
+        (["--t-max", "5"], IntegratorConfig(t_max=5.0)),
+    ],
+)
+def test_basin_integrator_defaults_to_integrator_config(flags, expected):
+    for argv in (["basin", "--k", "20"], ["sweep-gain", "--k-range", "1:1:1"]):
+        args = triform.cli.build_parser().parse_args([*argv, *flags])
+        assert triform.cli._basin_setup(args, [1.0])[2] == expected
 
 
 def test_basin_runs_with_a_negative_bound_in_exponent_notation(tmp_path):
