@@ -50,7 +50,7 @@ from .potentials import (
     TrianglePotentialSpec,
     pair_gradient,
     pair_potential,
-    pinned_triangle_hessian,
+    pinned_hessian_entries,
     triangle_gradient,
     triangle_potential,
 )

@@ -28,12 +28,7 @@ import numpy as np
 from .geometry import SQRT3, Position, require_positive
 from .graph import DesiredFormation
 from .hierarchy import HierarchyPlan
-from .potentials import (
-    TrianglePotentialSpec,
-    _corner_gradient,
-    pinned_hessian_entries,
-    pinned_triangle_hessian,
-)
+from .potentials import _corner_gradient, pinned_hessian_entries
 
 FAMILY_APEX = "apex-correct"
 FAMILY_BELOW = "below-axis"
@@ -94,15 +89,14 @@ def _classify(eigenvalues: tuple[float, ...], tol: float) -> str:
     return DEGENERATE
 
 
-def symmetric_eigenvalues(h: np.ndarray) -> tuple[float, float]:
-    """Eigenvalues of a symmetric 2x2 matrix, ascending.
+def symmetric_eigenvalues(hxx: float, hxy: float, hyy: float) -> tuple[float, float]:
+    """Eigenvalues of the symmetric 2x2 matrix [[hxx, hxy], [hxy, hyy]], ascending.
 
     The smaller-magnitude eigenvalue is det / larger: ``mean - disc`` would
     cancel to zero when one eigenvalue dwarfs the other.  Each product is
     divided by ``larger`` before it is formed: the determinant itself, of
     order ``larger**2``, would overflow or underflow long before the entries.
     """
-    hxx, hxy, hyy = float(h[0, 0]), float(h[0, 1]), float(h[1, 1])
     mean = 0.5 * (hxx + hyy)
     disc = math.hypot(0.5 * (hxx - hyy), hxy)
     larger = mean + disc if mean >= 0.0 else mean - disc
@@ -147,10 +141,9 @@ def enumerate_triangle_equilibria(a: float, k_gain: float) -> list[Equilibrium]:
     if not sys.float_info.min <= a2 < math.inf:
         raise ValueError(f"a={a} gives a*a={a2}, which is not a normal float")
     tol = 1e-9 * a2
-    spec = TrianglePotentialSpec(d_star=2.0 * a, z_star=SQRT3 * a2, k_gain=k_gain)
 
     def make(x: float, y: float, family: str, note: str = "") -> Equilibrium:
-        eig = symmetric_eigenvalues(pinned_triangle_hessian(spec, Position(x, y)))
+        eig = symmetric_eigenvalues(*pinned_hessian_entries(a2, k_gain, x, y))
         if not all(map(math.isfinite, eig)):
             raise ValueError(f"Hessian eigenvalues {eig} at a={a}, k_gain={k_gain} are not finite")
         return Equilibrium(

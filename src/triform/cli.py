@@ -16,7 +16,7 @@ import re
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import astuple, fields, replace
+from dataclasses import asdict, astuple, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -37,6 +37,7 @@ from .dynamics import (
     probe_points,
     simulate,
 )
+from .geometry import require_positive
 # formation_errors is unused here, but kept: perfbench/tracer.py patches this
 # attribute, and test_tracer_call_sites_resolve checks that it exists.
 from .graph import _BLOCK_VALUES, formation_errors
@@ -198,8 +199,7 @@ def cmd_analyze(args: argparse.Namespace) -> Run:
         gains.append(K_LOW)
     if not gains:
         raise ConfigError("--k", "need at least one gain (--k, --k-range or --exact-boundary)")
-    if args.a <= 0:
-        raise ConfigError("--a", f"must be positive, got {args.a}")
+    require_positive("--a", args.a)
     catalogue = [(k, classify_gain(k), enumerate_triangle_equilibria(args.a, k)) for k in gains]
 
     def run(out_dir: Path) -> tuple[int, dict[str, Any]]:
@@ -271,8 +271,7 @@ def _run_basin(
 
 
 def cmd_basin(args: argparse.Namespace) -> Run:
-    if not args.k > 0:
-        raise ConfigError("--k", f"need a positive gain, got {args.k}")
+    require_positive("--k", args.k)
     scenario, grid, cfg, _ = _basin_setup(args, [args.k])
 
     def run(out_dir: Path) -> tuple[int, dict[str, Any]]:
@@ -283,6 +282,7 @@ def cmd_basin(args: argparse.Namespace) -> Run:
             k_gain=args.k,
             d_star=args.d_star,
             grid=[grid.nx, grid.ny, grid.xmin, grid.xmax, grid.ymin, grid.ymax],
+            integrator=asdict(cfg),
             cells=len(cells),
             fraction_correct=fraction,
             termination_reason="ok",
@@ -312,7 +312,9 @@ def cmd_sweep_gain(args: argparse.Namespace) -> Run:
             ["k_gain", "regime", "n_equilibria", "n_stable", "fraction_correct"],
             rows,
         )
-        return EXIT_OK, dict(d_star=args.d_star, gains=gains, termination_reason="ok", outputs=["sweep.csv"])
+        return EXIT_OK, dict(
+            d_star=args.d_star, gains=gains, integrator=asdict(cfg), termination_reason="ok", outputs=["sweep.csv"]
+        )
 
     return run
 

@@ -16,9 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .geometry import SQRT3, PlanarVector, Position, require_positive, signed_area, squared_distance
+from .geometry import PlanarVector, Position, require_positive, signed_area, squared_distance
 
 
 @dataclass(frozen=True)
@@ -144,33 +142,15 @@ def triangle_gradient(
     return PlanarVector(gx, gy)
 
 
-def pinned_triangle_hessian(spec: TrianglePotentialSpec, pk: Position) -> np.ndarray:
-    """Hessian of the triangle potential in pk for pins at (-a, 0) and (a, 0).
+def pinned_hessian_entries(a2, k_gain, x, y):
+    """Hessian (hxx, hxy, hyy) of the triangle potential in the free agent (x, y).
 
-    a = d_star / 2 and the target signed area must be +sqrt(3)*a**2 (the
-    counterclockwise equilateral triangle over those pins).  Returns the 2x2
-    symmetric matrix
+    The frame pins the other two agents at (-a, 0) and (a, 0), with a2 = a**2,
+    d_star = 2a and the counterclockwise target area z_star = sqrt(3)*a**2;
+    K = k_gain, and x and y may be floats or numpy arrays.  The matrix is
 
         [[6x^2 + 2y^2 - 2a^2,            4xy],
          [4xy,                 6y^2 + 2x^2 - 6a^2 + K a^2]]
-
-    evaluated at pk = (x, y).
-    """
-    a = 0.5 * spec.d_star
-    a2 = a * a
-    if abs(spec.z_star - SQRT3 * a2) > 1e-9 * a2:
-        raise ValueError(
-            "pinned hessian assumes z_star = sqrt(3)*(d_star/2)**2, "
-            f"got z_star={spec.z_star} for d_star={spec.d_star}"
-        )
-    hxx, hxy, hyy = pinned_hessian_entries(a2, spec.k_gain, pk.x, pk.y)
-    return np.array([[hxx, hxy], [hxy, hyy]])
-
-
-def pinned_hessian_entries(a2, k_gain, x, y):
-    """(hxx, hxy, hyy) of :func:`pinned_triangle_hessian` with a2 = a**2.
-
-    x and y may be floats or numpy arrays; no target-area check is made.
     """
     hxx = 6.0 * x * x + 2.0 * y * y - 2.0 * a2
     hxy = 4.0 * x * y

@@ -29,7 +29,7 @@ from triform import (
     formation_errors,
     pair_gradient,
     pair_potential,
-    pinned_triangle_hessian,
+    pinned_hessian_entries,
     signed_area,
     simulate,
     total_potential,
@@ -147,10 +147,9 @@ def test_criterion_2_equilibrium_table_matches_the_numeric_oracle():
 
 
 def test_criterion_3_hessian_and_h_checkpoints():
-    spec = TrianglePotentialSpec(d_star=2.0, z_star=SQRT3, k_gain=20.0)
-    h = pinned_triangle_hessian(spec, Position(0.0, SQRT3))
-    lam = sorted((float(h[0, 0]), float(h[1, 1])))
-    assert h[0, 1] == 0.0
+    hxx, hxy, hyy = pinned_hessian_entries(1.0, 20.0, 0.0, SQRT3)
+    lam = sorted((hxx, hyy))
+    assert hxy == 0.0
     assert abs(lam[0] - 4.0) <= 1e-10
     assert abs(lam[1] - 32.0) <= 1e-10
 

@@ -19,6 +19,7 @@ from triform import (
     enumerate_triangle_equilibria,
     find_equilibria_numeric,
     pair_gradient,
+    pinned_hessian_entries,
     simulate,
     triangle_potential,
 )
@@ -193,13 +194,23 @@ def test_catalogue_rejects_bad_parameters():
         enumerate_triangle_equilibria(1e154, 20.0)
 
 
+def test_catalogue_eigenvalues_are_the_pinned_hessians():
+    # The catalogue's spectra come from the one pinned Hessian, bit for bit.
+    for a in (1e-3, 1.0, 1e3):
+        for k in (0.3, K_LOW, 1.5, 20.0):
+            for eq in enumerate_triangle_equilibria(a, k):
+                h = pinned_hessian_entries(a * a, k, eq.position.x, eq.position.y)
+                expected = symmetric_eigenvalues(*h)
+                assert [v.hex() for v in eq.eigenvalues] == [v.hex() for v in expected]
+
+
 def test_eigenvalues_match_finite_difference_hessian():
     for k in (0.6, 2.0):
         spec = TrianglePotentialSpec(d_star=2.0, z_star=SQRT3, k_gain=k)
         pins = (Position(-1.0, 0.0), Position(1.0, 0.0))
         for eq in enumerate_triangle_equilibria(1.0, k):
-            fd = np.array(fd_hessian(lambda q: triangle_potential(spec, *pins, q), eq.position))
-            fd_eigs = symmetric_eigenvalues(fd)
+            fd = fd_hessian(lambda q: triangle_potential(spec, *pins, q), eq.position)
+            fd_eigs = symmetric_eigenvalues(fd[0][0], fd[0][1], fd[1][1])
             for lam, lam_fd in zip(eq.eigenvalues, fd_eigs):
                 assert lam == pytest.approx(lam_fd, abs=1e-5 * max(1.0, abs(lam)))
 
@@ -336,10 +347,8 @@ def test_stable_equilibria_attract_and_unstable_repel():
                     ]
                 )
                 # move along the most unstable direction of the true Hessian
-                spec = TrianglePotentialSpec(d_star=2.0, z_star=SQRT3, k_gain=k)
-                from triform import pinned_triangle_hessian
-
-                w, v = np.linalg.eigh(pinned_triangle_hessian(spec, eq.position))
+                hxx, hxy, hyy = pinned_hessian_entries(1.0, k, eq.position.x, eq.position.y)
+                w, v = np.linalg.eigh(np.array([[hxx, hxy], [hxy, hyy]]))
                 direction = v[:, 0]  # eigenvector of the most negative eigenvalue
                 start = Position(
                     eq.position.x + 1e-3 * direction[0],

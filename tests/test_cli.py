@@ -5,6 +5,7 @@ import json
 import math
 import platform
 import random
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -524,20 +525,23 @@ def test_paper10_flip_at_low_gain_is_named_although_the_flow_converges(tmp_path)
 
 
 def test_pair_run_has_no_triangle_to_label(tmp_path):
-    doc = {
-        "graph": {"n": 2, "edges": [[1, 2]]},
-        "root_edge": [1, 2],
-        "d_star": 2.0,
-        "k_gain": 20.0,
-        "initial": {"positions": [[0.0, 0.0], [1.0, 0.5]]},
-    }
-    cfg_path = tmp_path / "pair.json"
-    cfg_path.write_text(json.dumps(doc))
-    out = tmp_path / "run"
-    assert run_cli("simulate", "--config", cfg_path, "--out-dir", out) == 0
-    manifest = strict_manifest(out)
-    assert manifest["termination_reason"] == "converged"
-    assert "terminal_equilibrium" not in manifest
+    # The builtin "pair" graph and the same graph spelled out run alike.
+    for name, graph in (("explicit", {"n": 2, "edges": [[1, 2]]}), ("builtin", "pair")):
+        doc = {
+            "graph": graph,
+            "root_edge": [1, 2],
+            "d_star": 2.0,
+            "k_gain": 20.0,
+            "initial": {"positions": [[0.0, 0.0], [1.0, 0.5]]},
+        }
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / name
+        assert run_cli("simulate", "--config", cfg_path, "--out-dir", out) == 0
+        manifest = strict_manifest(out)
+        assert manifest["termination_reason"] == "converged"
+        assert manifest["field_evals"] == 1 + 4 * manifest["steps"]
+        assert "terminal_equilibrium" not in manifest
 
 
 @pytest.mark.parametrize("k_gain", [0.6, 20.0])
@@ -1121,6 +1125,61 @@ def test_rejected_inputs_write_a_config_error_manifest(tmp_path, argv, field):
     assert manifest["termination_reason"] == "config-error"
     assert field in manifest["error"]
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "argv", [["basin", "--grid", "1x1", "--k"], ["analyze", "--k", "1", "--a"]], ids=["k", "a"]
+)
+def test_gain_and_scale_flags_refuse_zero_negative_and_non_finite(tmp_path, argv, value):
+    out = tmp_path / "run"
+    assert run_cli(*argv, value, "--out-dir", out) == 64
+    manifest = strict_manifest(out)
+    assert manifest["termination_reason"] == "config-error"
+    assert manifest["error"].startswith(f"{argv[-1]} must be finite and positive")
+
+
+@pytest.mark.parametrize(
+    "argv, initial, message",
+    [
+        (["simulate", "--seed", 1], {"positions": [[-1, 0], [1, 0], [0, 1]]}, "--seed: the scenario has no random box"),
+        (["analyze", "--k-range", "1:2"], None, "--k-range: expected START:STOP:STEP"),
+        (["basin", "--k", 20.0, "--grid=-1x2"], None, "grid sizes must be non-negative"),
+        (["basin", "--k", 20.0, "--grid", "1x1", "--xmin", 3, "--xmax", -3], None, "grid bounds are inverted"),
+        (["simulate"], {"layout": "grid"}, "initial.layout: unknown layout 'grid'"),
+        (["simulate"], {"layout": "two-columns"}, "layout 'two-columns' needs 10 agents, got 3"),
+        (["simulate"], {"seed": 1, "box": [0, 0, 0, 1]}, "initial.box: degenerate box"),
+    ],
+    ids=[
+        "seed-without-box",
+        "short-k-range",
+        "negative-grid",
+        "inverted-bounds",
+        "grid-layout",
+        "two-columns-triangle",
+        "degenerate-box",
+    ],
+)
+def test_refused_inputs_name_their_reason(tmp_path, argv, initial, message):
+    if initial is not None:
+        doc = {"graph": "triangle", "root_edge": [1, 2], "d_star": 2.0, "k_gain": 20.0, "initial": initial}
+        cfg_path = tmp_path / "tri.json"
+        cfg_path.write_text(json.dumps(doc))
+        argv = [*argv, "--config", cfg_path]
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--out-dir", out) == 64
+    manifest = strict_manifest(out)
+    assert manifest["termination_reason"] == "config-error"
+    assert message in manifest["error"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["basin", "--k", 20.0], ["sweep-gain", "--k-range", "20:20:1"]], ids=["basin", "sweep-gain"]
+)
+def test_grid_runs_record_their_integrator(tmp_path, argv):
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--grid", "1x1", "--t-max", 0.5, "--out-dir", out) == 0
+    assert strict_manifest(out)["integrator"] == asdict(IntegratorConfig(t_max=0.5))
 
 
 @pytest.mark.parametrize("text", ["-3e-3", "-3E-03", "-.5e1", "-3.e+2", "-0.003", "-3"])

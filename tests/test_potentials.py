@@ -8,7 +8,7 @@ from triform import (
     TrianglePotentialSpec,
     pair_gradient,
     pair_potential,
-    pinned_triangle_hessian,
+    pinned_hessian_entries,
     triangle_gradient,
     triangle_potential,
 )
@@ -205,11 +205,10 @@ def test_gradients_rotate_with_the_frame(rng):
 # ---------------------------------------------------------------------------
 
 def test_pinned_hessian_at_target_apex():
-    spec = make_triangle_spec(d_star=2.0, k_gain=20.0)
-    h = pinned_triangle_hessian(spec, Position(0.0, SQRT3))
-    assert h[0, 0] == pytest.approx(4.0, abs=1e-10)
-    assert h[1, 1] == pytest.approx(32.0, abs=1e-10)
-    assert h[0, 1] == 0.0
+    hxx, hxy, hyy = pinned_hessian_entries(1.0, 20.0, 0.0, SQRT3)
+    assert hxx == pytest.approx(4.0, abs=1e-10)
+    assert hyy == pytest.approx(32.0, abs=1e-10)
+    assert hxy == 0.0
 
 
 def test_pinned_hessian_at_lower_axis_equilibrium():
@@ -217,11 +216,10 @@ def test_pinned_hessian_at_lower_axis_equilibrium():
     k = 0.6
     hk = 0.5 - 0.5 * k + math.sqrt(2.25 - 1.5 * k)
     assert hk == pytest.approx(1.3618950038622251, rel=1e-12)
-    spec = make_triangle_spec(d_star=2.0, k_gain=k)
     y = (-math.sqrt(0.75 - 0.5 * k) - 0.5 * SQRT3) * 1.0
-    h = pinned_triangle_hessian(spec, Position(0.0, y))
-    assert h[0, 0] == pytest.approx(2.0 * hk, rel=1e-12)
-    assert h[1, 1] == pytest.approx(2.0 * (3.0 * hk + 0.5 * k), rel=1e-12)
+    hxx, _, hyy = pinned_hessian_entries(1.0, k, 0.0, y)
+    assert hxx == pytest.approx(2.0 * hk, rel=1e-12)
+    assert hyy == pytest.approx(2.0 * (3.0 * hk + 0.5 * k), rel=1e-12)
 
 
 def test_pinned_hessian_matches_finite_differences(rng):
@@ -230,14 +228,7 @@ def test_pinned_hessian_matches_finite_differences(rng):
         spec = make_triangle_spec(d_star=2 * a, k_gain=rng.uniform(0.5, 30.0))
         pins = (Position(-a, 0.0), Position(a, 0.0))
         pk = Position(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        h = pinned_triangle_hessian(spec, pk)
+        h = pinned_hessian_entries(a * a, spec.k_gain, pk.x, pk.y)
         fd = fd_hessian(lambda q: triangle_potential(spec, *pins, q), pk)
-        for r in range(2):
-            for c in range(2):
-                assert h[r, c] == pytest.approx(fd[r][c], abs=1e-5 * max(1.0, abs(h[r, c])))
-
-
-def test_pinned_hessian_rejects_inconsistent_area_target():
-    spec = TrianglePotentialSpec(d_star=2.0, z_star=1.0, k_gain=5.0)
-    with pytest.raises(ValueError):
-        pinned_triangle_hessian(spec, Position(0.0, 1.0))
+        for entry, entry_fd in zip(h, (fd[0][0], fd[0][1], fd[1][1])):
+            assert entry == pytest.approx(entry_fd, abs=1e-5 * max(1.0, abs(entry)))
