@@ -173,8 +173,7 @@ def cmd_simulate(args: argparse.Namespace) -> Run:
             "termination_reason": result.reason,
             "t_final": result.t_final,
             "steps": result.steps,
-            # one field evaluation per stage of every step, and one at the final state
-            "field_evals": 1 + (4 if scenario.config.integrator.method == "rk4" else 1) * result.steps,
+            "field_evals": result.field_evals,
             "steps_per_s": result.steps / seconds,
             "final_max_dist_err": _finite_or_none(dist_err),
             "final_max_area_err": _finite_or_none(area_err),
@@ -199,7 +198,6 @@ def cmd_analyze(args: argparse.Namespace) -> Run:
         gains.append(K_LOW)
     if not gains:
         raise ConfigError("--k", "need at least one gain (--k, --k-range or --exact-boundary)")
-    require_positive("--a", args.a)
     catalogue = [(k, classify_gain(k), enumerate_triangle_equilibria(args.a, k)) for k in gains]
 
     def run(out_dir: Path) -> tuple[int, dict[str, Any]]:
@@ -271,7 +269,6 @@ def _run_basin(
 
 
 def cmd_basin(args: argparse.Namespace) -> Run:
-    require_positive("--k", args.k)
     scenario, grid, cfg, _ = _basin_setup(args, [args.k])
 
     def run(out_dir: Path) -> tuple[int, dict[str, Any]]:
@@ -400,6 +397,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         command, out_dir = args.command, args.out_dir
+        for flag in ("k", "a", "d_star", "dt", "t_max"):  # each refused under the flag's own name
+            values = getattr(args, flag, None)  # analyze's --k is a list
+            for value in values if isinstance(values, list) else [] if values is None else [values]:
+                require_positive("--" + flag.replace("_", "-"), value)
         run = args.func(args)
     except ValueError as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)

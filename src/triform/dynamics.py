@@ -37,13 +37,23 @@ LABEL_UNRESOLVED = "unresolved"
 
 MAX_STEPS = 10**7  # most steps a run may take; at a dt with p + dt*u == p none converges
 
+# Each integration method: its stages after stage 1, as (the offset added to p, the
+# stage it fills), and its update.  {0} is a coordinate index on lists, empty on arrays.
+METHODS = {
+    "rk4": (
+        ((" + half * u{0}", "k2_{0}"), (" + half * k2_{0}", "k3_{0}"), (" + dt * k3_{0}", "k4_{0}")),
+        "p{0} = p{0} + sixth * (u{0} + two * (k2_{0} + k3_{0}) + k4_{0})",
+    ),
+    "euler": ((), "p{0} = p{0} + dt * u{0}"),
+}
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Fixed-step integrator settings.
 
-    method is "rk4" or "euler".  Convergence is declared on the largest
-    per-agent control norm, not on position increments.
+    method names an entry of ``METHODS``: "rk4" or "euler".  Convergence is
+    declared on the largest per-agent control norm, not on position increments.
     """
 
     method: str = "rk4"
@@ -54,7 +64,7 @@ class IntegratorConfig:
     divergence_bound: float = 1e6
 
     def __post_init__(self) -> None:
-        if self.method not in ("rk4", "euler"):
+        if self.method not in METHODS:
             raise ValueError(f"method must be 'rk4' or 'euler', got {self.method!r}")
         require_positive("dt", self.dt)
         if self.dt >= self.t_max:
@@ -86,6 +96,7 @@ class SimulationResult:
     reason: str
     t_final: float
     steps: int
+    field_evals: int
 
     @property
     def converged(self) -> bool:
@@ -133,6 +144,7 @@ def simulate(
     recorded = array("q")
     u_norms = array("d")
     arrays = uses_array_kernel(n)
+    stages, update = METHODS[cfg.method]
 
     def record(state: list[float], step: int, gmax2: float) -> None:
         coords.fromlist(state)
@@ -157,9 +169,11 @@ def simulate(
     }
     if arrays:
         p, u = np.array(p), np.zeros(2 * n)
-        names.update(np=np, field=field_eval, k2=np.zeros(2 * n), k3=np.zeros(2 * n), k4=np.zeros(2 * n))
-        advance = [*_ARRAY_ADVANCE[cfg.method], _ARRAY_WORST]
-        state, setup, *loop = "p.tolist()", [], _ARRAY_NORM, advance, ["field(p, u)"]
+        names.update(np=np, field=field_eval, **{out.format(""): np.zeros(2 * n) for _, out in stages})
+        norm = ["v = u * u", "gmax2 = float((v[0::2] + v[1::2]).max())"]
+        advance = [f"field(p{offset}, {out})".format("") for offset, out in stages]
+        advance += [update.format(""), "worst = float(np.abs(p).max())"]
+        state, setup, *loop = "p.tolist()", [], norm, advance, ["field(p, u)"]
         field_eval(p, u)
     else:
         u = [0.0] * (2 * n)
@@ -168,7 +182,7 @@ def simulate(
         state, setup, *loop = _list_bodies(plan, cfg.method, _at_rest(plan, p, u))
     bodies = dict(zip(("norm", "advance", "stage1"), ("\n        ".join(body) for body in loop)))
     source = _RUN.format(params=", ".join(names), state=state, setup="\n    ".join(setup), **bodies)
-    step, reason = _define(source, "run", {})(p, u, **names)  # compiled once per source text
+    step, reason, gmax2 = _define(source, "run", {})(p, u, **names)  # compiled once per source text
 
     states = np.frombuffer(coords).reshape(len(recorded), n, 2)
     dist_err, area_err = formation_errors(df, states)
@@ -177,7 +191,9 @@ def simulate(
         states=states,
         metrics=np.column_stack((dist_err, area_err, np.frombuffer(u_norms))),
     )
-    return SimulationResult(trajectory=trajectory, reason=reason, t_final=step * dt, steps=step)
+    # Stage 1 runs at the final state too, unless the bound test ended the run (gmax2 is then finite).
+    evals = (1 + len(stages)) * step + (reason != DIVERGED or not math.isfinite(gmax2))
+    return SimulationResult(trajectory=trajectory, reason=reason, t_final=step * dt, steps=step, field_evals=evals)
 
 
 # From this many agents on the numpy field kernel and loop bodies run, below
@@ -326,21 +342,8 @@ def run(p, u, *, {params}):
     # or NaN); the last good sample is kept instead.
     if recorded[-1] != step and isfinite(worst):
         record({state}, step, gmax2)
-    return step, reason
+    return step, reason, gmax2
 """
-
-# The numpy bodies: whole-array statements on float64 p, u and stages k2-k4.
-_ARRAY_NORM = ["v = u * u", "gmax2 = float((v[0::2] + v[1::2]).max())"]
-_ARRAY_ADVANCE = {
-    "rk4": [
-        "field(p + half * u, k2)",
-        "field(p + half * k2, k3)",
-        "field(p + dt * k3, k4)",
-        "p += sixth * (u + two * (k2 + k3) + k4)",
-    ],
-    "euler": ["p += dt * u"],
-}
-_ARRAY_WORST = "worst = float(np.abs(p).max())"
 
 
 def _at_rest(plan: HierarchyPlan, p: Sequence[float], u: Sequence[float]) -> frozenset[int]:
@@ -364,8 +367,8 @@ def _at_rest(plan: HierarchyPlan, p: Sequence[float], u: Sequence[float]) -> fro
 def _list_bodies(plan: HierarchyPlan, method: str, rest: frozenset[int]) -> tuple:
     """The list state and bodies, with p, u and each stage in a local per coordinate.
 
-    Setup unpacks p and u.  Stage 1 and RK4 stages 2-4 are the plan's
-    :func:`field_lines` written out, assigning u{j}, k2_{j}, k3_{j} and k4_{j}.
+    Setup unpacks p and u.  Stage 1 and the method's later stages are the plan's
+    :func:`field_lines` written out, assigning u{j} and, for RK4, k2_{j} to k4_{j}.
     The agents in ``rest`` (:func:`_at_rest`) are loop invariants: setup sets
     their x{m}, y{m} and p{j} to p + 0.0 and their largest magnitude to
     rest_worst, and the loop leaves out their stage positions, ops, update and
@@ -391,12 +394,8 @@ def _list_bodies(plan: HierarchyPlan, method: str, rest: frozenset[int]) -> tupl
     norm = [f"gmax2 = {terms[0]}"]
     for term in terms[1:]:
         norm += [f"v = {term}", "if v > gmax2 or v != v: gmax2 = v"]
-    if method == "rk4":
-        advance = stage(" + half * u{}", "k2_{}") + stage(" + half * k2_{}", "k3_{}") + stage(" + dt * k3_{}", "k4_{}")
-        update = "p{0} = p{0} + sixth * (u{0} + two * (k2_{0} + k3_{0}) + k4_{0})"
-    else:
-        advance, update = [], "p{0} = p{0} + dt * u{0}"
-    advance += [update.format(j) for j in coords]
+    stages, update = METHODS[method]
+    advance = [line for offset, out in stages for line in stage(offset, out)] + [update.format(j) for j in coords]
     advance.append("worst = rest_worst")
     for j in coords:
         advance += [f"v = abs(p{j})", "if v > worst or v != v: worst = v"]

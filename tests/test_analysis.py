@@ -340,12 +340,6 @@ def test_stable_equilibria_attract_and_unstable_repel():
                 p = res.final_positions()[2]
                 assert math.hypot(p.x - eq.position.x, p.y - eq.position.y) <= 1e-6
             elif eq.stability == UNSTABLE:
-                h = np.array(
-                    [
-                        [eq.eigenvalues[0], 0.0],
-                        [0.0, eq.eigenvalues[1]],
-                    ]
-                )
                 # move along the most unstable direction of the true Hessian
                 hxx, hxy, hyy = pinned_hessian_entries(1.0, k, eq.position.x, eq.position.y)
                 w, v = np.linalg.eigh(np.array([[hxx, hxy], [hxy, hyy]]))

@@ -1062,14 +1062,14 @@ def test_sweep_gain_opens_one_pool_and_reports_each_gain_as_it_arrives(tmp_path,
 @pytest.mark.parametrize(
     "argv, field",
     [
-        (["sweep-gain", "--k-range", "1:1:1", "--d-star", -1], "d_star"),
+        (["sweep-gain", "--k-range", "1:1:1", "--d-star", -1], "--d-star"),
         (["sweep-gain", "--k-range", "0:1:1"], "--k-range"),
         (["sweep-gain", "--k-range", "0.5:inf:1"], "--k-range"),
         (["sweep-gain", "--k-range", "nan:1:1"], "--k-range"),
         (["analyze", "--k-range", "0:1:1"], "--k-range"),
         (["analyze", "--k", 20.0, "--a", "1e-200"], "a=1e-200"),
         (["basin", "--k", 1.0, "--jobs", 0], "--jobs"),
-        (["basin", "--k", 1.0, "--d-star", -1], "d_star"),
+        (["basin", "--k", 1.0, "--d-star", -1], "--d-star"),
         (["basin", "--k", 20.0, "--d-star", "1e-160"], "a*a"),
         (["basin", "--k", "nan"], "--k"),
         (["simulate", "--config", "missing.json"], "cannot read"),
@@ -1127,10 +1127,28 @@ def test_rejected_inputs_write_a_config_error_manifest(tmp_path, argv, field):
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
+FLIP = ["simulate", "--config", SCENARIOS / "triangle-flip-k06.json"]
+BASIN = ["basin", "--k", "1", "--grid", "1x1"]
+SWEEP = ["sweep-gain", "--k-range", "1:1:1", "--grid", "1x1"]
+NUMERIC_FLAGS = {
+    "k": ["basin", "--grid", "1x1", "--k"],
+    "a": ["analyze", "--k", "1", "--a"],
+    "simulate-k": [*FLIP, "--k"],
+    "analyze-k": ["analyze", "--k"],
+    "analyze-repeated-k": ["analyze", "--k", "1", "--k"],
+    "basin-d-star": [*BASIN, "--d-star"],
+    "sweep-d-star": [*SWEEP, "--d-star"],
+    "simulate-dt": [*FLIP, "--dt"],
+    "basin-dt": [*BASIN, "--dt"],
+    "sweep-dt": [*SWEEP, "--dt"],
+    "simulate-t-max": [*FLIP, "--t-max"],
+    "basin-t-max": [*BASIN, "--t-max"],
+    "sweep-t-max": [*SWEEP, "--t-max"],
+}
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
-@pytest.mark.parametrize(
-    "argv", [["basin", "--grid", "1x1", "--k"], ["analyze", "--k", "1", "--a"]], ids=["k", "a"]
-)
+@pytest.mark.parametrize("argv", list(NUMERIC_FLAGS.values()), ids=list(NUMERIC_FLAGS))
 def test_gain_and_scale_flags_refuse_zero_negative_and_non_finite(tmp_path, argv, value):
     out = tmp_path / "run"
     assert run_cli(*argv, value, "--out-dir", out) == 64

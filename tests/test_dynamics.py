@@ -23,7 +23,7 @@ from triform import (
 )
 from triform import dynamics
 from triform.cli import _run_basin
-from triform.dynamics import CONVERGED, DIVERGED, TIMEOUT, compile_field, probe_points
+from triform.dynamics import CONVERGED, DIVERGED, METHODS, TIMEOUT, compile_field, probe_points
 from triform.graph import formation_errors
 from triform.hierarchy import target_positions
 from triform.scenario import load_scenario, make_builtin_scenario, resolve, two_columns_layout
@@ -240,17 +240,22 @@ ENDINGS = {
 }
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler"])
-@pytest.mark.parametrize("ending", sorted(ENDINGS))
-def test_array_and_scalar_paths_agree_bit_for_bit(monkeypatch, method, ending):
+def ending_run(ending, method):
+    """A 12-agent grown formation, its start and the integrator settings that end its run by ``ending``."""
     cfg, spread = ENDINGS[ending]
-    cfg = replace(cfg, method=method)
     rng = random.Random(7)
     _, df, plan = grown_formation(rng, 12)
     init = [
         Position(q.x + rng.uniform(-spread, spread), q.y + rng.uniform(-spread, spread))
         for q in target_positions(plan, df)
     ]
+    return plan, df, init, replace(cfg, method=method)
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+@pytest.mark.parametrize("ending", sorted(ENDINGS))
+def test_array_and_scalar_paths_agree_bit_for_bit(monkeypatch, method, ending):
+    plan, df, init, cfg = ending_run(ending, method)
     runs = []
     for threshold in (plan.graph.n + 1, plan.graph.n):  # scalar loops, then arrays
         monkeypatch.setattr(dynamics, "ARRAY_MIN_AGENTS", threshold)
@@ -368,7 +373,7 @@ def assert_matches_the_scalar_loops(plan, df, init, cfg, k_gain, kappa):
     return res
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("method", sorted(METHODS))
 @pytest.mark.parametrize("name", ["paper10-two-columns-k20", "paper10-random-k20", "triangle-flip-k06"])
 def test_generated_step_matches_the_scalar_loops_on_shipped_scenarios(name, method):
     scenario = resolve(load_scenario(SCENARIOS / f"{name}.json"))
@@ -380,7 +385,7 @@ def test_generated_step_matches_the_scalar_loops_on_shipped_scenarios(name, meth
     assert res.reason == CONVERGED
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("method", sorted(METHODS))
 @pytest.mark.parametrize("ending", sorted(ENDINGS))
 @pytest.mark.parametrize("n", [3, 4, 11, 25, dynamics.ARRAY_MIN_AGENTS - 1])
 def test_generated_step_matches_the_scalar_loops_on_grown_graphs(n, ending, method):
@@ -400,7 +405,7 @@ def test_generated_step_matches_the_scalar_loops_on_grown_graphs(n, ending, meth
 DIVERGING = {**NON_FINITE, "escapes-in-last-coordinate": (1.0, 20.0, (0.0, 1e3), 1)}
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("method", sorted(METHODS))
 @pytest.mark.parametrize("case", sorted(DIVERGING))
 def test_generated_step_matches_the_scalar_loops_on_diverging_runs(case, method):
     kappa, k_gain, start, _ = DIVERGING[case]
@@ -435,7 +440,7 @@ def assert_rest_changes_nothing(monkeypatch, plan, df, init, cfg, k_gain, kappa=
     return rest_of(plan, df, init, k_gain, kappa)
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("method", sorted(METHODS))
 @pytest.mark.parametrize("k_gain", [20.0, 0.6])
 @pytest.mark.parametrize("start", [(0.0, 1.0), (-0.0, 1.0), (-0.0, -0.0), (0.4, -0.7), (-2.5, 2.0)])
 def test_probe_cells_at_rest_match_the_full_loop(monkeypatch, start, k_gain, method):
@@ -455,7 +460,7 @@ PINS = {
 }
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("method", sorted(METHODS))
 @pytest.mark.parametrize("case", sorted(PINS))
 def test_signed_zero_pins_match_the_full_loop(monkeypatch, case, method):
     root, pair, want = PINS[case]
@@ -465,7 +470,7 @@ def test_signed_zero_pins_match_the_full_loop(monkeypatch, case, method):
     assert assert_rest_changes_nothing(monkeypatch, plan, df, init, cfg, 20.0) == want
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("method", sorted(METHODS))
 @pytest.mark.parametrize("placed", [2, 5, 11])
 def test_grown_formations_with_agents_on_target_match_the_full_loop(monkeypatch, placed, method):
     # At d_star = 3 the control at the target is exactly zero for every agent,
@@ -566,7 +571,7 @@ def counted_evaluations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("method", sorted(METHODS))
 @pytest.mark.parametrize("arrays", [False, True], ids=["scalar", "arrays"])
 def test_a_run_that_ends_at_its_start_evaluates_the_field_once(monkeypatch, arrays, method):
     monkeypatch.setattr(dynamics, "ARRAY_MIN_AGENTS", 3 if arrays else 4)
@@ -581,8 +586,25 @@ def test_a_run_that_ends_at_its_start_evaluates_the_field_once(monkeypatch, arra
     ):
         calls.clear()
         res = simulate(plan, df, init, cfg, k_gain=k_gain, kappa=kappa)
-        assert (res.reason, res.steps, res.t_final, len(calls)) == (reason, 0, 0.0, 1)
+        assert (res.reason, res.steps, res.t_final, len(calls), res.field_evals) == (reason, 0, 0.0, 1, 1)
         assert res.trajectory.times.tolist() == [0.0] and len(res.trajectory.states) == 1
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+@pytest.mark.parametrize("arrays", [False, True], ids=["scalar", "arrays"])
+@pytest.mark.parametrize("ending", sorted(ENDINGS))
+def test_field_evals_counts_every_field_evaluation(monkeypatch, ending, arrays, method):
+    # One evaluation per stage of every step, and one at the final state,
+    # except after a step that leaves the divergence bound: the loop stops
+    # before stage 1 there.  On arrays every evaluation goes through the
+    # callable compile_field returns; on lists only the first one does.
+    plan, df, init, cfg = ending_run(ending, method)
+    monkeypatch.setattr(dynamics, "ARRAY_MIN_AGENTS", plan.graph.n if arrays else plan.graph.n + 1)
+    calls = counted_evaluations(monkeypatch)
+    res = simulate(plan, df, init, cfg, k_gain=20.0, kappa=20.0)
+    assert res.reason == ending and res.steps > 0
+    assert res.field_evals == 1 + {"rk4": 4, "euler": 1}[method] * res.steps - (ending == DIVERGED)
+    assert len(calls) == (res.field_evals if arrays else 1)
 
 
 def compiled_runs(monkeypatch):
@@ -604,7 +626,7 @@ def floats_held(code):
     )
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("method", sorted(METHODS))
 def test_generated_step_holds_no_float(monkeypatch, method):
     # dt, its fractions, tol2, the bound and every value of the field are
     # bound by name; only the op lines' own literals remain, as in the field
