@@ -64,7 +64,7 @@ class IntegratorConfig:
     divergence_bound: float = 1e6
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
+        if not isinstance(self.method, str) or self.method not in METHODS:  # a list is unhashable
             raise ValueError(f"method must be 'rk4' or 'euler', got {self.method!r}")
         require_positive("dt", self.dt)
         if self.dt >= self.t_max:
@@ -115,7 +115,7 @@ class SimulationResult:
 def simulate(
     plan: HierarchyPlan,
     df: DesiredFormation,
-    init: Sequence[Position | Sequence[float]],
+    init: Sequence[Position],
     cfg: IntegratorConfig,
     *,
     k_gain: float,
@@ -132,8 +132,6 @@ def simulate(
         raise ValueError(f"expected {n} initial positions, got {len(init)}")
     p: list[float] = []
     for q in init:
-        if not isinstance(q, Position):
-            q = Position(float(q[0]), float(q[1]))  # validates finiteness
         p.extend((q.x, q.y))
 
     field_eval = compile_field(plan, df, k_gain=k_gain, kappa=kappa)

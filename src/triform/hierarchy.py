@@ -147,16 +147,14 @@ def control_field(
     if len(positions) != plan.graph.n:
         raise ValueError(f"expected {plan.graph.n} positions, got {len(positions)}")
     out = [PlanarVector(0.0, 0.0)] * plan.graph.n
-    g = pair_gradient(
-        PairPotentialSpec(df.d_star), positions[plan.root - 1], positions[plan.pair - 1], wrt="j"
-    )
+    g = pair_gradient(PairPotentialSpec(df.d_star), positions[plan.root - 1], positions[plan.pair - 1])
     out[plan.pair - 1] = PlanarVector(-kappa * g.dx, -kappa * g.dy)
     for t in plan.triangles:
         spec = TrianglePotentialSpec(
             d_star=df.d_star, z_star=df.z_star(t.clique_index), k_gain=k_gain
         )
         corners = (positions[t.base1 - 1], positions[t.base2 - 1], positions[t.agent - 1])
-        g = triangle_gradient(spec, *corners, wrt="k")
+        g = triangle_gradient(spec, *corners)
         out[t.agent - 1] = PlanarVector(-kappa * g.dx, -kappa * g.dy)
     return out
 

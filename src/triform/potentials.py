@@ -8,7 +8,7 @@ away from flipped configurations.
 
 Gradients are written purely in relative coordinates (differences of
 positions), so they are valid for any placement of the three agents, not just
-a pinned canonical frame.
+a pinned canonical frame.  Each differentiates in its last agent, the one that moves.
 """
 
 from __future__ import annotations
@@ -55,17 +55,12 @@ def pair_potential(spec: PairPotentialSpec, pi: Position, pj: Position) -> float
     return 0.25 * err * err
 
 
-def pair_gradient(spec: PairPotentialSpec, pi: Position, pj: Position, wrt: str) -> PlanarVector:
-    """Gradient of :func:`pair_potential` with respect to agent ``wrt`` ("i" or "j")."""
+def pair_gradient(spec: PairPotentialSpec, pi: Position, pj: Position) -> PlanarVector:
+    """Gradient of :func:`pair_potential` in its last agent ``pj``; the potential is
+    symmetric, so the gradient in ``pi`` is the same call with the agents swapped."""
     d2 = spec.d_star * spec.d_star
-    if wrt == "j":
-        ex = pj.x - pi.x
-        ey = pj.y - pi.y
-    elif wrt == "i":
-        ex = pi.x - pj.x
-        ey = pi.y - pj.y
-    else:
-        raise ValueError(f"wrt must be 'i' or 'j', got {wrt!r}")
+    ex = pj.x - pi.x
+    ey = pj.y - pi.y
     err = (ex * ex + ey * ey) - d2
     return PlanarVector(err * ex, err * ey)
 
@@ -121,24 +116,15 @@ def _corner_gradient(
     return gx, gy
 
 
-def triangle_gradient(
-    spec: TrianglePotentialSpec, pi: Position, pj: Position, pk: Position, wrt: str
-) -> PlanarVector:
-    """Gradient of :func:`triangle_potential` with respect to agent ``wrt``.
+def triangle_gradient(spec: TrianglePotentialSpec, pi: Position, pj: Position, pk: Position) -> PlanarVector:
+    """Gradient of :func:`triangle_potential` in its last agent ``pk``.
 
     Cyclic rotations of (pi, pj, pk) leave the signed area unchanged, so each
-    corner's gradient is the same expression with the arguments rotated until
-    the differentiated corner comes last.
+    corner's gradient is this call with the arguments rotated until the
+    differentiated corner comes last: ``(pj, pk, pi)`` for ``pi``.
     """
     d2 = spec.d_star * spec.d_star
-    if wrt == "k":
-        gx, gy = _corner_gradient(d2, spec.k_gain, spec.z_star, pi.x, pi.y, pj.x, pj.y, pk.x, pk.y)
-    elif wrt == "i":
-        gx, gy = _corner_gradient(d2, spec.k_gain, spec.z_star, pj.x, pj.y, pk.x, pk.y, pi.x, pi.y)
-    elif wrt == "j":
-        gx, gy = _corner_gradient(d2, spec.k_gain, spec.z_star, pk.x, pk.y, pi.x, pi.y, pj.x, pj.y)
-    else:
-        raise ValueError(f"wrt must be 'i', 'j' or 'k', got {wrt!r}")
+    gx, gy = _corner_gradient(d2, spec.k_gain, spec.z_star, pi.x, pi.y, pj.x, pj.y, pk.x, pk.y)
     return PlanarVector(gx, gy)
 
 

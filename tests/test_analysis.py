@@ -76,7 +76,7 @@ def test_pair_equilibria_zero_the_gradient():
     spec = PairPotentialSpec(2.0)
     anchor = Position(0.0, 0.0)
     for eq in enumerate_pair_equilibria(2.0):
-        g = pair_gradient(spec, anchor, eq.position, wrt="j")
+        g = pair_gradient(spec, anchor, eq.position)
         assert g.norm() <= 1e-12
 
 

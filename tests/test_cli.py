@@ -269,6 +269,14 @@ MALFORMED = {
     "signs-null": (("z_star_signs",), None, "z_star_signs"),
     "edges-number": (("graph", "edges"), [1], "graph.edges[0]"),
     "cliques-number": (("graph", "cliques"), [5], "graph.cliques[0]"),
+    "initial-number": (("initial",), 5, "initial"),
+    "integrator-list": (("integrator",), [], "integrator"),
+    "graph-number": (("graph",), 5, "graph"),
+    "clique-repeated-agent": (("graph", "cliques"), [[1, 1, 2]], "graph"),
+    "clique-outside-agents": (("graph", "cliques"), [[1, 2, 4]], "graph"),
+    "n-zero": (("graph", "n"), 0, "graph"),
+    "method-list": (("integrator", "method"), ["rk4"], "integrator"),
+    "method-object": (("integrator", "method"), {}, "integrator"),
 }
 
 
@@ -291,7 +299,7 @@ def test_config_from_dict_rejects_malformed_values(case):
 
 
 @pytest.mark.parametrize(
-    "case", ["seed-list", "edges-number", "dt-bool", "dt-too-many-steps", "graph-signs"]
+    "case", ["seed-list", "edges-number", "dt-bool", "dt-too-many-steps", "graph-signs", "method-list"]
 )
 def test_simulate_rejects_malformed_document(tmp_path, case):
     cfg_path = tmp_path / "bad.json"
@@ -302,6 +310,48 @@ def test_simulate_rejects_malformed_document(tmp_path, case):
     assert manifest["termination_reason"] == "config-error"
     assert manifest["error"].startswith(MALFORMED[case][2] + ":")
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+# Documents that no key path into valid_document() can express, by case id.
+UNSHAPED = {
+    "root-list": lambda: [valid_document()],
+    "d-star-missing": lambda: {k: v for k, v in valid_document().items() if k != "d_star"},
+}
+
+# case id -> the error a config-error manifest states, word for word
+REFUSALS = {
+    "root-list": "<root>: expected an object, got list",
+    "d-star-missing": "d_star: missing required field",
+    "initial-number": "initial: expected an object, got int",
+    "integrator-list": "integrator: expected an object, got list",
+    "graph-number": "graph: expected a builtin name or an object",
+    "clique-repeated-agent": "graph: clique (1, 1, 2) must have three distinct agents",
+    "clique-outside-agents": "graph: clique (1, 2, 4) references agents outside 1..3",
+    "n-zero": "graph: agent count must be >= 1, got 0",
+    "method-list": "integrator: method must be 'rk4' or 'euler', got ['rk4']",
+    "method-object": "integrator: method must be 'rk4' or 'euler', got {}",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_simulate_manifest_states_the_refusal(tmp_path, case):
+    doc = UNSHAPED[case]() if case in UNSHAPED else malformed_document(case)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--config", cfg_path, "--out-dir", out) == 64
+    manifest = strict_manifest(out)
+    assert (manifest["termination_reason"], manifest["error"]) == ("config-error", REFUSALS[case])
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+def test_simulate_out_dir_without_a_value_writes_to_out(tmp_path, monkeypatch):
+    # argparse refuses the bare flag, so the manifest goes to the default ./out.
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("simulate", "--config", SCENARIOS / "triangle-flip-k06.json", "--out-dir") == 64
+    manifest = strict_manifest(tmp_path / "out")
+    assert manifest["termination_reason"] == "config-error"
+    assert manifest["error"] == "usage: argument --out-dir: expected one argument"
 
 
 def test_simulate_rejects_deeply_nested_document(tmp_path):
@@ -498,6 +548,20 @@ def test_simulate_unlabelled_terminal_triangle_still_writes_its_manifest(tmp_pat
     manifest = strict_manifest(out)
     assert (manifest["termination_reason"], manifest["steps"]) == ("converged", 0)
     assert manifest["terminal_equilibrium"] == label
+
+
+def test_loose_tolerance_stops_away_from_every_equilibrium(tmp_path):
+    # grad_norm_tol 0.5 declares convergence while the apex still moves: no
+    # catalogue point lies within 1e-4 of where it stopped.
+    doc = json.loads((SCENARIOS / "triangle-flip-k06.json").read_text())
+    doc["integrator"]["grad_norm_tol"] = 0.5
+    cfg_path = tmp_path / "loose.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--config", cfg_path, "--out-dir", out) == 0
+    manifest = strict_manifest(out)
+    assert manifest["termination_reason"] == "converged"
+    assert manifest["terminal_equilibrium"] == {"matched": None, "detail": "no equilibrium within 1e-4"}
 
 
 @pytest.mark.parametrize("name", ["paper10-two-columns-k20", "paper10-random-k20"])

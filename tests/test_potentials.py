@@ -36,13 +36,11 @@ def test_pair_potential_values():
 
 def test_pair_gradient_values():
     spec = PairPotentialSpec(2.0)
-    assert pair_gradient(spec, Position(0, 0), Position(2, 0), wrt="j").as_tuple() == (0.0, 0.0)
+    assert pair_gradient(spec, Position(0, 0), Position(2, 0)).as_tuple() == (0.0, 0.0)
     # (1 - 4) * (1, 0)
-    assert pair_gradient(spec, Position(0, 0), Position(1, 0), wrt="j").as_tuple() == (-3.0, 0.0)
-    gi = pair_gradient(spec, Position(0, 0), Position(1, 0), wrt="i")
-    assert gi.as_tuple() == (3.0, 0.0)
-    with pytest.raises(ValueError):
-        pair_gradient(spec, Position(0, 0), Position(1, 0), wrt="k")
+    assert pair_gradient(spec, Position(0, 0), Position(1, 0)).as_tuple() == (-3.0, 0.0)
+    # the gradient in the first agent: the same call with the agents swapped
+    assert pair_gradient(spec, Position(1, 0), Position(0, 0)).as_tuple() == (3.0, 0.0)
 
 
 def test_pair_spec_validation():
@@ -59,10 +57,11 @@ def test_pair_gradient_matches_finite_differences(rng):
         spec = PairPotentialSpec(rng.uniform(0.5, 3.0))
         pi = Position(rng.uniform(-2, 2), rng.uniform(-2, 2))
         pj = Position(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        g = pair_gradient(spec, pi, pj, wrt="j")
-        fd = fd_gradient(lambda q: pair_potential(spec, pi, q), pj)
-        scale = max(1.0, g.norm())
-        assert math.hypot(g.dx - fd.dx, g.dy - fd.dy) <= 1e-6 * scale
+        for moving, other in ((pj, pi), (pi, pj)):  # the gradient in pj, then in pi
+            g = pair_gradient(spec, other, moving)
+            fd = fd_gradient(lambda q: pair_potential(spec, other, q), moving)
+            scale = max(1.0, g.norm())
+            assert math.hypot(g.dx - fd.dx, g.dy - fd.dy) <= 1e-6 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +120,14 @@ def test_triangle_potential_matches_polynomial_expansion(rng):
 
 def test_triangle_gradient_zero_at_target():
     spec = make_triangle_spec()
-    g = triangle_gradient(spec, Position(-1, 0), Position(1, 0), Position(0, SQRT3), wrt="k")
+    g = triangle_gradient(spec, Position(-1, 0), Position(1, 0), Position(0, SQRT3))
     assert g.norm() <= 1e-14
 
 
 def test_triangle_gradient_closed_loop_field_value():
     # minus the closed-loop field at (x, y) = (1, 1) with a=1, K=20
     spec = make_triangle_spec()
-    g = triangle_gradient(spec, Position(-1, 0), Position(1, 0), Position(1, 1), wrt="k")
+    g = triangle_gradient(spec, Position(-1, 0), Position(1, 0), Position(1, 1))
     assert g.dx == pytest.approx(2.0, rel=1e-15)
     assert g.dy == pytest.approx(-2.0 - 20.0 * (SQRT3 - 1.0), rel=1e-15)
 
@@ -141,8 +140,8 @@ def test_triangle_gradient_matches_finite_differences(rng):
             k_gain=rng.uniform(0.5, 30.0),
         )
         pts = [Position(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)]
-        for slot, wrt in enumerate("ijk"):
-            g = triangle_gradient(spec, *pts, wrt=wrt)
+        for slot in range(3):  # rotate each corner into the differentiated last place
+            g = triangle_gradient(spec, *pts[slot + 1:], *pts[:slot + 1])
 
             def moved(q, slot=slot):
                 trial = list(pts)
@@ -163,7 +162,7 @@ def test_triangle_gradients_sum_to_zero(rng):
             k_gain=rng.uniform(0.5, 30.0),
         )
         pts = [Position(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(3)]
-        gs = [triangle_gradient(spec, *pts, wrt=w) for w in "ijk"]
+        gs = [triangle_gradient(spec, *pts[slot + 1:], *pts[:slot + 1]) for slot in range(3)]
         sx = sum(g.dx for g in gs)
         sy = sum(g.dy for g in gs)
         scale = max(1.0, max(g.norm() for g in gs))
@@ -191,9 +190,10 @@ def test_gradients_rotate_with_the_frame(rng):
         spec = make_triangle_spec(d_star=rng.uniform(0.5, 3.0), k_gain=rng.uniform(0.5, 30.0))
         pts = [Position(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(3)]
         move = random_rigid_motion(rng)
-        for wrt in "ijk":
-            g = triangle_gradient(spec, *pts, wrt=wrt)
-            g_moved = triangle_gradient(spec, *(move(p) for p in pts), wrt=wrt)
+        for slot in range(3):
+            corners = pts[slot + 1:] + pts[:slot + 1]
+            g = triangle_gradient(spec, *corners)
+            g_moved = triangle_gradient(spec, *(move(p) for p in corners))
             g_rot = move.rotate_vec(g)
             assert math.hypot(g_moved.dx - g_rot.dx, g_moved.dy - g_rot.dy) <= 1e-9 * max(
                 1.0, g.norm()
