@@ -6,8 +6,8 @@ time budget runs out (timeout), or when any coordinate leaves a large bound
 or the state or the control field stops being finite (diverged).  One
 generated loop runs them, stepping float64 arrays with numpy from
 ``ARRAY_MIN_AGENTS`` agents on and a local per coordinate with straight-line
-code below; both field kernels are generated here too, from the same op
-text, and the list loop writes the ops out itself.
+code below; both field kernels are generated here too, from the op text of
+``potentials``, and the list loop writes the ops out itself.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .analysis import terminal_equilibrium
 from .geometry import Position, require_positive
 from .graph import DesiredFormation, formation_errors
 from .hierarchy import HierarchyPlan
+from .potentials import _PAIR_OP, _TRIANGLE_OP, _define
 
 CONVERGED = "converged"
 TIMEOUT = "timeout"
@@ -181,6 +182,11 @@ def simulate(
     bodies = dict(zip(("norm", "advance", "stage1"), ("\n        ".join(body) for body in loop)))
     source = _RUN.format(params=", ".join(names), state=state, setup="\n    ".join(setup), **bodies)
     step, reason, gmax2 = _define(source, "run", {})(p, u, **names)  # compiled once per source text
+    # A step that left the divergence bound ends the run before stage 1 (gmax2 is then
+    # finite): the field is never evaluated at the final state, so its sample has no norm.
+    left_bound = reason == DIVERGED and math.isfinite(gmax2)
+    if left_bound and recorded[-1] == step:
+        u_norms[-1] = math.nan
 
     states = np.frombuffer(coords).reshape(len(recorded), n, 2)
     dist_err, area_err = formation_errors(df, states)
@@ -189,8 +195,7 @@ def simulate(
         states=states,
         metrics=np.column_stack((dist_err, area_err, np.frombuffer(u_norms))),
     )
-    # Stage 1 runs at the final state too, unless the bound test ended the run (gmax2 is then finite).
-    evals = (1 + len(stages)) * step + (reason != DIVERGED or not math.isfinite(gmax2))
+    evals = (1 + len(stages)) * step + (not left_bound)  # stage 1 at the final state too
     return SimulationResult(trajectory=trajectory, reason=reason, t_final=step * dt, steps=step, field_evals=evals)
 
 
@@ -263,46 +268,6 @@ def field_lines(plan: HierarchyPlan, out: str, rest: Container[int] = ()) -> lis
         if t.agent not in rest:
             lines += _TRIANGLE_OP.format(m=m, f=f, s=s, k=k, dx=out.format(m), dy=out.format(m + 1)).split("\n")
     return lines
-
-
-# The field's ops, with x{m}, y{m} holding agent m's coordinates: scalars, or
-# on arrays the columns xM, yM, xF, yF, xS, yS of all triangle agents.  They
-# state the lines of their references, potentials.pair_gradient and
-# potentials._corner_gradient, and each control entry is one multiply by
-# nkap = -kappa, as in control_field.  The sources hold only integer offsets
-# and names, so non-finite values behave as in any other evaluation and plans
-# of one shape share one code object.
-_PAIR_OP = """\
-ex = x{m} - x{a}
-ey = y{m} - y{a}
-err = (ex * ex + ey * ey) - d2
-{dx} = nkap * (err * ex)
-{dy} = nkap * (err * ey)"""
-_TRIANGLE_OP = """\
-e1x = x{m} - x{f}
-e1y = y{m} - y{f}
-e2x = x{m} - x{s}
-e2y = y{m} - y{s}
-c1 = (e1x * e1x + e1y * e1y) - d2
-c2 = (e2x * e2x + e2y * e2y) - d2
-bx = x{s} - x{f}
-by = y{s} - y{f}
-qx = -0.5 * by
-qy = 0.5 * bx
-z = 0.5 * (bx * e1y - e1x * by)
-area = kg * (z - z_star{k})
-gx = c1 * e1x + c2 * e2x + area * qx
-gy = c1 * e1y + c2 * e2y + area * qy
-{dx} = nkap * gx
-{dy} = nkap * gy"""
-
-_compile = lru_cache(maxsize=32)(compile)  # keyed by the source text
-
-
-def _define(source: str, name: str, env: dict):
-    """The function ``name`` that ``source`` defines, run in ``env``; compiled once per text."""
-    exec(_compile(source, f"<triform {name}>", "exec"), env)
-    return env[name]
 
 
 # The integrator loop, the one statement of its control flow, called with

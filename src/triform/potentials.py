@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .geometry import PlanarVector, Position, require_positive, signed_area, squared_distance
 
@@ -58,11 +59,7 @@ def pair_potential(spec: PairPotentialSpec, pi: Position, pj: Position) -> float
 def pair_gradient(spec: PairPotentialSpec, pi: Position, pj: Position) -> PlanarVector:
     """Gradient of :func:`pair_potential` in its last agent ``pj``; the potential is
     symmetric, so the gradient in ``pi`` is the same call with the agents swapped."""
-    d2 = spec.d_star * spec.d_star
-    ex = pj.x - pi.x
-    ey = pj.y - pi.y
-    err = (ex * ex + ey * ey) - d2
-    return PlanarVector(err * ex, err * ey)
+    return PlanarVector(*_pair_gradient(spec.d_star * spec.d_star, pi.x, pi.y, pj.x, pj.y))
 
 
 def triangle_potential(spec: TrianglePotentialSpec, pi: Position, pj: Position, pk: Position) -> float:
@@ -79,41 +76,64 @@ def triangle_potential(spec: TrianglePotentialSpec, pi: Position, pj: Position, 
     return 0.25 * (eij * eij + ejk * ejk + eki * eki) + 0.5 * spec.k_gain * zerr * zerr
 
 
-def _corner_gradient(
-    d2: float,
-    k_gain: float,
-    z_star: float,
-    fx: float,
-    fy: float,
-    sx: float,
-    sy: float,
-    mx: float,
-    my: float,
-) -> tuple[float, float]:
-    """Gradient of the triangle potential at the corner (mx, my).
+# The control law, -kappa times each potential's gradient in its last agent, stated
+# once as op text.  x{m}, y{m} are the moving agent's coordinates, x{a}, y{a} the
+# pair's other agent, x{f}, y{f} and x{s}, y{s} the triangle's first and second base,
+# in an order that keeps the cyclic orientation (first, second, moving) equal to the
+# one z_star{k} was stated for.  The ops read d2 = d_star**2, kg = K and nkap = -kappa
+# by name and assign the two entries to {dx} and {dy}.  The area term differentiates
+# to kg*(z - z_star)*q, with q = perp(second - first)/2 and perp the +90 degree
+# rotation; each edge term the agent touches to (squared error)*(edge vector).
+# dynamics generates both field kernels from this text, and the references below are
+# the text run with nkap = 1.0, which is exact: 1.0 * g == g for every float.  The
+# sources hold only integer offsets and names, so non-finite values behave as in any
+# other evaluation.  tests/test_potentials.py proves each op equals -kappa times the
+# gradient of the paper's potential.
+_PAIR_OP = """\
+ex = x{m} - x{a}
+ey = y{m} - y{a}
+err = (ex * ex + ey * ey) - d2
+{dx} = nkap * (err * ex)
+{dy} = nkap * (err * ey)"""
+_TRIANGLE_OP = """\
+e1x = x{m} - x{f}
+e1y = y{m} - y{f}
+e2x = x{m} - x{s}
+e2y = y{m} - y{s}
+c1 = (e1x * e1x + e1y * e1y) - d2
+c2 = (e2x * e2x + e2y * e2y) - d2
+bx = x{s} - x{f}
+by = y{s} - y{f}
+qx = -0.5 * by
+qy = 0.5 * bx
+z = 0.5 * (bx * e1y - e1x * by)
+area = kg * (z - z_star{k})
+gx = c1 * e1x + c2 * e2x + area * qx
+gy = c1 * e1y + c2 * e2y + area * qy
+{dx} = nkap * gx
+{dy} = nkap * gy"""
 
-    (fx, fy) and (sx, sy) are the other two corners in an order that keeps
-    the cyclic orientation (first, second, moving) equal to the orientation
-    z_star was stated for.  The area term differentiates to
-    k*(Z - z_star) * perp(second - first) / 2, with perp the +90 degree
-    rotation; the two edge terms the corner touches differentiate to the
-    familiar (squared-error * edge vector) form.
-    """
-    e1x = mx - fx
-    e1y = my - fy
-    e2x = mx - sx
-    e2y = my - sy
-    c1 = (e1x * e1x + e1y * e1y) - d2
-    c2 = (e2x * e2x + e2y * e2y) - d2
-    bx = sx - fx
-    by = sy - fy
-    qx = -0.5 * by
-    qy = 0.5 * bx
-    z = 0.5 * (bx * e1y - e1x * by)
-    area = k_gain * (z - z_star)
-    gx = c1 * e1x + c2 * e2x + area * qx
-    gy = c1 * e1y + c2 * e2y + area * qy
-    return gx, gy
+_compile = lru_cache(maxsize=32)(compile)  # keyed by the source text
+
+
+def _define(source: str, name: str, env: dict):
+    """The function ``name`` that ``source`` defines, run in ``env``; compiled once per text."""
+    exec(_compile(source, f"<triform {name}>", "exec"), env)
+    return env[name]
+
+
+def _reference(name: str, params: str, op: str, **fields: str):
+    """``op`` as the function ``name(params)`` returning its two entries with nkap = 1.0."""
+    body = op.format(dx="gx", dy="gy", **fields).replace("\n", "\n    ")
+    return _define(f"def {name}({params}):\n    {body}\n    return gx, gy\n", name, {"nkap": 1.0})
+
+
+# The pair gradient in (xM, yM) with the other agent at (xA, yA), and the triangle
+# gradient at the corner (xM, yM) with bases (xF, yF), (xS, yS); floats or numpy arrays.
+_pair_gradient = _reference("_pair_gradient", "d2, xA, yA, xM, yM", _PAIR_OP, m="M", a="A")
+_corner_gradient = _reference(
+    "_corner_gradient", "d2, kg, z_star, xF, yF, xS, yS, xM, yM", _TRIANGLE_OP, m="M", f="F", s="S", k=""
+)
 
 
 def triangle_gradient(spec: TrianglePotentialSpec, pi: Position, pj: Position, pk: Position) -> PlanarVector:
@@ -124,8 +144,7 @@ def triangle_gradient(spec: TrianglePotentialSpec, pi: Position, pj: Position, p
     differentiated corner comes last: ``(pj, pk, pi)`` for ``pi``.
     """
     d2 = spec.d_star * spec.d_star
-    gx, gy = _corner_gradient(d2, spec.k_gain, spec.z_star, pi.x, pi.y, pj.x, pj.y, pk.x, pk.y)
-    return PlanarVector(gx, gy)
+    return PlanarVector(*_corner_gradient(d2, spec.k_gain, spec.z_star, pi.x, pi.y, pj.x, pj.y, pk.x, pk.y))
 
 
 def pinned_hessian_entries(a2, k_gain, x, y):

@@ -740,6 +740,19 @@ def test_simulate_blown_up_run_exits_as_diverged(tmp_path):
     assert manifest["diverged_at"] == 0.0
 
 
+def test_bound_divergence_writes_nan_for_the_norm_it_never_evaluated(tmp_path):
+    # One step of dt = 0.9 at K = 2000 leaves the divergence bound; the field is not
+    # evaluated there, so the last row's max_u_norm is nan, not the previous norm.
+    argv = ("--config", SCENARIOS / "triangle-flip-k06.json", "--dt", "0.9", "--t-max", "100", "--k", "2000")
+    out = tmp_path / "run"
+    assert run_cli("simulate", *argv, "--out-dir", out) == 3
+    manifest = strict_manifest(out)
+    assert (manifest["termination_reason"], manifest["steps"], manifest["field_evals"]) == ("diverged", 1, 4)
+    with (out / "metrics.csv").open() as f:
+        assert [row["max_u_norm"] for row in csv.DictReader(f)] == ["7468.101615137754", "nan"]
+    assert (out / "trajectory.csv").read_text().splitlines()[-1].endswith(",nan")
+
+
 def shipped(name):
     return json.loads((SCENARIOS / name).read_text())
 

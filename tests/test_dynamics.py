@@ -21,7 +21,7 @@ from triform import (
     simulate,
     total_potential,
 )
-from triform import dynamics
+from triform import dynamics, potentials
 from triform.cli import _run_basin
 from triform.dynamics import CONVERGED, DIVERGED, METHODS, TIMEOUT, compile_field, probe_points
 from triform.graph import formation_errors
@@ -273,7 +273,8 @@ def test_array_and_scalar_paths_agree_bit_for_bit(monkeypatch, method, ending):
 # ---------------------------------------------------------------------------
 
 def reference_simulate(plan, df, init, cfg, *, k_gain, kappa=1.0):
-    """simulate's list path as it was before its step was generated, kept verbatim."""
+    """simulate's list path as it was before its step was generated, kept verbatim
+    but for the nan norm of the sample after a step that left the bound."""
     n = plan.graph.n
     p = [c for q in init for c in (q.x, q.y)]
     field_eval = compile_field(plan, df, k_gain=k_gain, kappa=kappa)
@@ -352,7 +353,8 @@ def reference_simulate(plan, df, init, cfg, *, k_gain, kappa=1.0):
             break
 
     if last_recorded != step and math.isfinite(worst):
-        record(step, gmax2)
+        # after a step that left the bound the field is not evaluated: no norm
+        record(step, math.nan if reason == DIVERGED and math.isfinite(gmax2) else gmax2)
 
     states = np.frombuffer(coords).reshape(len(times), n, 2)
     dist_err, area_err = formation_errors(df, states)
@@ -610,13 +612,13 @@ def test_field_evals_counts_every_field_evaluation(monkeypatch, ending, arrays, 
 def compiled_runs(monkeypatch):
     """The code objects simulate compiles or takes from the cache, field and loop, in call order."""
     codes = []
-    compile_once = dynamics._compile
+    compile_once = potentials._compile
 
     def spy(*args):
         codes.append(compile_once(*args))
         return codes[-1]
 
-    monkeypatch.setattr(dynamics, "_compile", spy)
+    monkeypatch.setattr(potentials, "_compile", spy)
     return codes
 
 
@@ -649,7 +651,7 @@ def negations(code):
 @pytest.mark.parametrize("arrays", [False, True], ids=["lists", "arrays"])
 def test_each_generated_control_entry_is_one_multiply(monkeypatch, arrays):
     # nkap = -kappa is bound by name, so no op and no generated step negates
-    assert "-(" not in dynamics._PAIR_OP + dynamics._TRIANGLE_OP
+    assert "-(" not in potentials._PAIR_OP + potentials._TRIANGLE_OP
     monkeypatch.setattr(dynamics, "ARRAY_MIN_AGENTS", 3 if arrays else 60)
     codes = compiled_runs(monkeypatch)
     df, plan = triangle_setup()

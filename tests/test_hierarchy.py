@@ -17,7 +17,7 @@ from triform import (
     total_potential,
 )
 from triform.dynamics import ARRAY_MIN_AGENTS, compile_field
-from triform.potentials import _corner_gradient
+from triform.potentials import _corner_gradient, _pair_gradient
 
 from conftest import grow_henneberg, grown_formation
 
@@ -241,6 +241,28 @@ def test_kappa_scales_field_exactly(rng):
         assert b.dx == 2.0 * a.dx and b.dy == 2.0 * a.dy
 
 
+def op_reference(plan, df, flat, k_gain, kappa):
+    """The field at the flat state from the references built from the op text:
+    -kappa times potentials._pair_gradient and _corner_gradient, the stationary
+    agent's entries 0.0.  Unlike control_field it takes non-finite values."""
+    d2 = df.d_star * df.d_star
+    want = [0.0] * len(flat)
+
+    def at(agent):
+        return flat[2 * agent - 2 : 2 * agent]
+
+    gx, gy = _pair_gradient(d2, *at(plan.root), *at(plan.pair))
+    want[2 * plan.pair - 2 : 2 * plan.pair] = [-kappa * gx, -kappa * gy]
+    for t in plan.triangles:
+        z_star = df.z_star(t.clique_index)
+        gx, gy = _corner_gradient(d2, k_gain, z_star, *at(t.base1), *at(t.base2), *at(t.agent))
+        want[2 * t.agent - 2 : 2 * t.agent] = [-kappa * gx, -kappa * gy]
+    return want
+
+
+SPECIAL = (0.0, -0.0, math.inf, -math.inf, 1e308, -1e308)
+
+
 def test_compiled_field_agrees_with_reference(rng):
     sizes = (4, 11, 25, ARRAY_MIN_AGENTS - 1, ARRAY_MIN_AGENTS + 7)
     grown = [lambda n=n: grown_formation(rng, n) for n in sizes]  # random orientation signs
@@ -259,6 +281,14 @@ def test_compiled_field_agrees_with_reference(rng):
             ref = control_field(plan, df, pts, k_gain=20.0, kappa=kappa)
             want = [c for v in ref for c in (v.dx, v.dy)]
             assert np.array(out).tobytes() == np.array(want).tobytes()  # signed zeros too
+        # Signed zeros, infinities and 1e308 among the coordinates: the references,
+        # the op text run with nkap = 1.0, still give the kernels' bits, NaN signs too.
+        for rate, chosen in ((0.02, SPECIAL), (0.1, SPECIAL), (0.5, SPECIAL), (1.0, SPECIAL[:2])):
+            flat = [rng.choice(chosen) if rng.random() < rate else rng.uniform(-5, 5) for _ in range(2 * n)]
+            with np.errstate(over="ignore", invalid="ignore"):
+                fast(np.array(flat) if arrays else flat, out)
+            want = op_reference(plan, df, flat, 20.0, kappa)
+            assert np.array(out).tobytes() == np.array(want).tobytes()
 
 
 def grown_array_setup(d_star=2.0):
@@ -271,9 +301,9 @@ def grown_array_setup(d_star=2.0):
 def test_compiled_field_keeps_infinite_targets(rng, setup):
     # d_star = 1e200 makes d2 and every z_star infinite.  control_field refuses
     # such values (its specs and vectors must be finite), so the reference is
-    # the expressions it evaluates: the pair term and potentials._corner_gradient.
+    # the expressions it evaluates, from potentials' references.
     _, df, plan = setup(d_star=1e200)
-    n, kappa, d2 = plan.graph.n, 1.5, df.d_star * df.d_star
+    n, kappa = plan.graph.n, 1.5
     arrays = n >= ARRAY_MIN_AGENTS
     fast = compile_field(plan, df, k_gain=20.0, kappa=kappa)
     # the generated source holds no float of the plan: they stay bound by name
@@ -281,23 +311,13 @@ def test_compiled_field_keeps_infinite_targets(rng, setup):
     out = np.full(2 * n, np.nan) if arrays else [math.nan] * (2 * n)
     values = []
     for _ in range(20):
-        pts = [Position(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(n)]
-        flat = [c for p in pts for c in (p.x, p.y)]
+        flat = [rng.uniform(-5, 5) for _ in range(2 * n)]
         with np.errstate(over="ignore", invalid="ignore"):
             fast(np.array(flat) if arrays else flat, out)
-        want = [0.0] * (2 * n)  # the stationary agent's entries stay 0.0
-        q, r = pts[plan.pair - 1], pts[plan.root - 1]
-        ex, ey = q.x - r.x, q.y - r.y
-        err = (ex * ex + ey * ey) - d2
-        want[2 * plan.pair - 2 : 2 * plan.pair] = [-kappa * (err * ex), -kappa * (err * ey)]
-        for t in plan.triangles:
-            q, f, s = pts[t.agent - 1], pts[t.base1 - 1], pts[t.base2 - 1]
-            z_star = df.z_star(t.clique_index)
-            gx, gy = _corner_gradient(d2, 20.0, z_star, f.x, f.y, s.x, s.y, q.x, q.y)
-            want[2 * t.agent - 2 : 2 * t.agent] = [-kappa * gx, -kappa * gy]
+        want = op_reference(plan, df, flat, 20.0, kappa)
         assert np.array(out).tobytes() == np.array(want).tobytes()  # NaN signs too
         values += want
-    assert math.isinf(d2) and {"inf", "-inf", "nan"} <= set(map(str, values))
+    assert math.isinf(df.d_star * df.d_star) and {"inf", "-inf", "nan"} <= set(map(str, values))
 
 
 def test_total_potential_zero_only_at_target(rng):

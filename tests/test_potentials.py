@@ -1,6 +1,7 @@
 import math
 
 import pytest
+import sympy
 
 from triform import (
     PairPotentialSpec,
@@ -12,6 +13,7 @@ from triform import (
     triangle_gradient,
     triangle_potential,
 )
+from triform.potentials import _PAIR_OP, _TRIANGLE_OP
 
 from conftest import fd_gradient, fd_hessian, random_rigid_motion
 
@@ -232,3 +234,33 @@ def test_pinned_hessian_matches_finite_differences(rng):
         fd = fd_hessian(lambda q: triangle_potential(spec, *pins, q), pk)
         for entry, entry_fd in zip(h, (fd[0][0], fd[0][1], fd[1][1])):
             assert entry == pytest.approx(entry_fd, abs=1e-5 * max(1.0, abs(entry)))
+
+
+# ---------------------------------------------------------------------------
+# The control law, proved against the paper's potential
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("op", [_PAIR_OP, _TRIANGLE_OP], ids=["pair", "triangle"])
+def test_op_text_is_minus_kappa_times_the_gradient_of_the_paper_potential(op):
+    # V restated from the paper, not from the op text: a quarter of (|e|^2 - d*^2)^2
+    # per edge and, for a triangle, (K/2)(Z - z*)^2 with Z the signed area of
+    # (first base, second base, moving agent), positive counterclockwise.
+    (xm, ym), (xa, ya), (xf, yf), (xs, ys) = agents = [
+        sympy.symbols(f"x_{c} y_{c}", real=True) for c in "mafs"
+    ]
+    d, k_gain, kappa, z_star = sympy.symbols("d K kappa z_star", real=True)
+
+    def edge(xp, yp, xq, yq):
+        return ((xp - xq) ** 2 + (yp - yq) ** 2 - d**2) ** 2 / 4
+
+    if op == _PAIR_OP:
+        v = edge(xm, ym, xa, ya)
+    else:
+        z = ((xs - xf) * (ym - yf) - (xm - xf) * (ys - yf)) / 2
+        v = edge(xf, yf, xs, ys) + edge(xs, ys, xm, ym) + edge(xm, ym, xf, yf) + k_gain / 2 * (z - z_star) ** 2
+    env = {f"{axis}{c}": q for c, xy in zip("MAFS", agents) for axis, q in zip("xy", xy)}
+    env.update(d2=d**2, kg=k_gain, nkap=-kappa, z_star=z_star)
+    exec(op.format(m="M", a="A", f="F", s="S", k="", dx="dx", dy="dy"), env)
+    for entry, coordinate in (("dx", xm), ("dy", ym)):
+        got = env[entry].xreplace({f: sympy.Rational(f) for f in env[entry].atoms(sympy.Float)})  # 0.5 is exact
+        assert sympy.expand(got + kappa * sympy.diff(v, coordinate)) == 0
