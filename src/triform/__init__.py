@@ -4,7 +4,9 @@ Distance-only formation specs admit mirror-image solutions; adding a signed
 triangle-area term to each potential removes that ambiguity.  This package
 builds the layered per-agent potentials for triangle-constructible graphs,
 integrates the resulting gradient flow, and enumerates the equilibria and
-stability regimes of the pinned two- and three-agent subsystems.
+stability regimes of the pinned triangle.  The oracles that only the tests
+run (the damped-Newton root finder, the anchored pair's catalogue and the
+summed potential) live in ``tests/oracles.py``.
 """
 
 from .analysis import (
@@ -14,9 +16,7 @@ from .analysis import (
     K_LOW,
     align_to_pinned_frame,
     classify_gain,
-    enumerate_pair_equilibria,
     enumerate_triangle_equilibria,
-    find_equilibria_numeric,
 )
 from .dynamics import (
     BasinCell,
@@ -43,7 +43,6 @@ from .hierarchy import (
     build_hierarchy,
     control_field,
     target_positions,
-    total_potential,
 )
 from .potentials import (
     PairPotentialSpec,

@@ -1,7 +1,5 @@
-"""Equilibria and stability of the pinned one- and two-base subsystems.
+"""Equilibria and stability of the pinned triangle, and where a run ended.
 
-For an anchored pair the equilibria are the anchor itself (a repeller) and
-the circle at the desired distance (attracting along the line of motion).
 For a pinned triangle with pins at (-a, 0) and (a, 0), target apex above, the
 equilibrium set depends on the area gain K:
 
@@ -13,8 +11,9 @@ equilibrium set depends on the area gain K:
 
 The boundary K = 2*sqrt(3)-2 leaves the lower axis point with a zero Hessian
 eigenvalue; it is reported as degenerate rather than forced into a class.
-A seeded damped-Newton root finder provides an independent numerical check
-of the closed-form catalogue.
+The tests check the closed-form catalogue against an independent seeded
+damped-Newton root finder; it and the anchored pair's catalogue live in
+``tests/oracles.py``, since no command runs them.
 """
 
 from __future__ import annotations
@@ -23,20 +22,16 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import SQRT3, Position, require_positive
 from .graph import DesiredFormation
 from .hierarchy import HierarchyPlan
-from .potentials import _corner_gradient, pinned_hessian_entries
+from .potentials import pinned_hessian_entries
 
 FAMILY_APEX = "apex-correct"
 FAMILY_BELOW = "below-axis"
 FAMILY_BETWEEN = "between"
 FAMILY_CIRCLE_LEFT = "circle-left"
 FAMILY_CIRCLE_RIGHT = "circle-right"
-FAMILY_PAIR_ORIGIN = "pair-origin"
-FAMILY_PAIR_CORRECT = "pair-correct"
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -59,9 +54,7 @@ MATCH_TOL = 1e-4
 class Equilibrium:
     """One critical point in the canonical pinned frame.
 
-    eigenvalues holds the Hessian spectrum in ascending order; pair
-    equilibria carry the single eigenvalue of the potential restricted to the
-    line of motion.
+    eigenvalues holds the Hessian spectrum in ascending order.
     """
 
     position: Position
@@ -102,29 +95,6 @@ def symmetric_eigenvalues(hxx: float, hxy: float, hyy: float) -> tuple[float, fl
     larger = mean + disc if mean >= 0.0 else mean - disc
     smaller = hxx * (hyy / larger) - hxy * (hxy / larger) if larger else 0.0
     return (smaller, larger) if mean >= 0.0 else (larger, smaller)
-
-
-def enumerate_pair_equilibria(d_star: float) -> list[Equilibrium]:
-    """Equilibria of an agent anchored at the origin, moving on the x axis.
-
-    Motion is radial, so the line through anchor and agent is invariant and
-    the scalar potential (x**2 - d_star**2)**2 / 4 governs it; its second
-    derivative 3x**2 - d_star**2 classifies the three axis equilibria.
-    """
-    require_positive("d_star", d_star)
-    d2 = d_star * d_star
-    tol = 1e-9 * d2
-
-    def make(x: float, family: str) -> Equilibrium:
-        h = 3.0 * x * x - d2
-        return Equilibrium(
-            position=Position(x, 0.0),
-            family=family,
-            eigenvalues=(h,),
-            stability=_classify((h,), tol),
-        )
-
-    return [make(0.0, FAMILY_PAIR_ORIGIN), make(d_star, FAMILY_PAIR_CORRECT), make(-d_star, FAMILY_PAIR_CORRECT)]
 
 
 def enumerate_triangle_equilibria(a: float, k_gain: float) -> list[Equilibrium]:
@@ -191,63 +161,6 @@ def classify_gain(k_gain: float) -> GainRegime:
     if k_gain == K_LOW:
         return GainRegime(k_gain=k_gain, regime=REGIME_ALMOST_GLOBAL, at_boundary=True)
     return GainRegime(k_gain=k_gain, regime=REGIME_BISTABLE)
-
-
-def pinned_field(a: float, k_gain: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Velocity of the free agent at (x, y), pins at (-a, 0) and (a, 0).
-
-    The negated analytic corner gradient, evaluated on numpy arrays.
-    """
-    a2 = a * a
-    gx, gy = _corner_gradient(4.0 * a2, k_gain, SQRT3 * a2, -a, 0.0, a, 0.0, x, y)
-    return -gx, -gy
-
-
-def find_equilibria_numeric(a: float, k_gain: float) -> list[Position]:
-    """Roots of the pinned closed-loop field, found numerically.
-
-    Damped Newton (fixed step damping 1/2, 200 iterations) runs from every
-    seed of a uniform 41x41 grid spanning [-4a, 4a]^2.  Seeds that escape,
-    hit a singular Jacobian, or end with a residual of 1e-10 or more are
-    dropped; the survivors are de-duplicated at 1e-8 and returned sorted by
-    (y, x).  This is the independent check of the closed-form catalogue, so
-    it never consults it.
-    """
-    require_positive("a", a)
-    require_positive("k_gain", k_gain)
-    axis = np.linspace(-4.0 * a, 4.0 * a, 41)
-    x, y = (g.ravel() for g in np.meshgrid(axis, axis))
-    a2 = a * a
-    alive = np.ones(len(x), dtype=bool)
-
-    for _ in range(200):
-        if not alive.any():
-            break
-        fx, fy = pinned_field(a, k_gain, x, y)
-        # Jacobian of the field is minus the potential's Hessian.
-        j11, j12, j22 = (-h for h in pinned_hessian_entries(a2, k_gain, x, y))
-        det = j11 * j22 - j12 * j12
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dx = -(fx * j22 - fy * j12) / det
-            dy = -(j11 * fy - j12 * fx) / det
-        bad = ~np.isfinite(dx) | ~np.isfinite(dy)
-        alive &= ~bad
-        step = np.where(alive, 0.5, 0.0)
-        x = x + step * np.where(np.isfinite(dx), dx, 0.0)
-        y = y + step * np.where(np.isfinite(dy), dy, 0.0)
-        alive &= np.hypot(x, y) <= 100.0 * a
-        moved = np.hypot(np.where(np.isfinite(dx), dx, 0.0), np.where(np.isfinite(dy), dy, 0.0))
-        alive &= moved > 1e-15 * a
-
-    fx, fy = pinned_field(a, k_gain, x, y)
-    residual = np.hypot(fx, fy)
-    keep = np.isfinite(residual) & (residual < 1e-10) & (np.hypot(x, y) <= 100.0 * a)
-
-    roots: list[tuple[float, float]] = []
-    for rx, ry in sorted(zip(x[keep], y[keep]), key=lambda q: (q[1], q[0])):
-        if all(math.hypot(rx - ox, ry - oy) > 1e-8 for ox, oy in roots):
-            roots.append((float(rx) + 0.0, float(ry) + 0.0))
-    return [Position(rx, ry) for rx, ry in roots]
 
 
 def align_to_pinned_frame(pi: Position, pj: Position, pk: Position) -> tuple[float, Position]:

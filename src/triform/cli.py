@@ -139,8 +139,13 @@ def _parse_k_range(text: str) -> list[float]:
 
 
 def _integrator(base: IntegratorConfig, args: argparse.Namespace) -> IntegratorConfig:
-    """``base`` with the --dt and --t-max given on the command line, checked together."""
-    return replace(base, **{k: v for k, v in dict(dt=args.dt, t_max=args.t_max).items() if v is not None})
+    """``base`` with the --dt and --t-max given on the command line, checked together
+    and refused under the flags given."""
+    given = {k: v for k, v in dict(dt=args.dt, t_max=args.t_max).items() if v is not None}
+    try:
+        return replace(base, **given)
+    except ValueError as exc:
+        raise ConfigError(" and ".join("--" + k.replace("_", "-") for k in given), str(exc)) from exc
 
 
 def cmd_simulate(args: argparse.Namespace) -> Run:

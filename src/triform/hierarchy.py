@@ -17,14 +17,7 @@ from typing import Sequence
 
 from .geometry import SQRT3, PlanarVector, Position
 from .graph import DesiredFormation, FormationGraph, growth_order, validate_triangulated_laman
-from .potentials import (
-    PairPotentialSpec,
-    TrianglePotentialSpec,
-    pair_gradient,
-    pair_potential,
-    triangle_gradient,
-    triangle_potential,
-)
+from .potentials import PairPotentialSpec, TrianglePotentialSpec, pair_gradient, triangle_gradient
 
 
 class HierarchyError(ValueError):
@@ -157,25 +150,6 @@ def control_field(
         g = triangle_gradient(spec, *corners)
         out[t.agent - 1] = PlanarVector(-kappa * g.dx, -kappa * g.dy)
     return out
-
-
-def total_potential(
-    plan: HierarchyPlan,
-    df: DesiredFormation,
-    positions: Sequence[Position],
-    *,
-    k_gain: float,
-) -> float:
-    """Sum of every agent's assigned potential at the given positions, in processing order."""
-    pair_spec = PairPotentialSpec(df.d_star)
-    total = pair_potential(pair_spec, positions[plan.root - 1], positions[plan.pair - 1])
-    for t in plan.triangles:
-        spec = TrianglePotentialSpec(
-            d_star=df.d_star, z_star=df.z_star(t.clique_index), k_gain=k_gain
-        )
-        corners = (positions[t.base1 - 1], positions[t.base2 - 1], positions[t.agent - 1])
-        total += triangle_potential(spec, *corners)
-    return total
 
 
 def target_positions(plan: HierarchyPlan, df: DesiredFormation) -> list[Position]:

@@ -25,14 +25,12 @@ from triform import (
     classify_gain,
     control_field,
     enumerate_triangle_equilibria,
-    find_equilibria_numeric,
     formation_errors,
     pair_gradient,
     pair_potential,
     pinned_hessian_entries,
     signed_area,
     simulate,
-    total_potential,
     triangle_gradient,
     triangle_potential,
 )
@@ -40,6 +38,7 @@ from triform.cli import main
 from triform.scenario import random_layout, two_columns_layout
 
 from conftest import fd_gradient, random_rigid_motion
+from oracles import find_equilibria_numeric, total_potential
 
 SQRT3 = math.sqrt(3.0)
 

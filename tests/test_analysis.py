@@ -15,9 +15,7 @@ from triform import (
     align_to_pinned_frame,
     build_hierarchy,
     classify_gain,
-    enumerate_pair_equilibria,
     enumerate_triangle_equilibria,
-    find_equilibria_numeric,
     pair_gradient,
     pinned_hessian_entries,
     simulate,
@@ -33,11 +31,11 @@ from triform.analysis import (
     STABLE,
     UNSTABLE,
     match_equilibrium,
-    pinned_field,
     symmetric_eigenvalues,
 )
 
 from conftest import fd_hessian, random_rigid_motion
+from oracles import enumerate_pair_equilibria, find_equilibria_numeric, pinned_field
 
 SQRT3 = math.sqrt(3.0)
 
@@ -78,11 +76,6 @@ def test_pair_equilibria_zero_the_gradient():
     for eq in enumerate_pair_equilibria(2.0):
         g = pair_gradient(spec, anchor, eq.position)
         assert g.norm() <= 1e-12
-
-
-def test_pair_equilibria_reject_bad_distance():
-    with pytest.raises(ValueError):
-        enumerate_pair_equilibria(-1.0)
 
 
 # ---------------------------------------------------------------------------

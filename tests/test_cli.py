@@ -1299,6 +1299,28 @@ def test_simulate_applies_dt_and_t_max_together(tmp_path, flags, code):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([*FLIP, "--dt", "0.5", "--t-max", "0.1"], "--dt and --t-max: dt=0.5 must be smaller than t_max=0.1"),
+        ([*FLIP, "--dt", "60"], "--dt: dt=60.0 must be smaller than t_max=50.0"),
+        ([*FLIP, "--t-max", "1e-4"], "--t-max: dt=0.001 must be smaller than t_max=0.0001"),
+        ([*BASIN, "--dt", "1e-12"], "--dt: t_max=50.0 must be within 10000000 steps of dt=1e-12"),
+        ([*BASIN, "--t-max", "1e5"], "--t-max: t_max=100000.0 must be within 10000000 steps of dt=0.001"),
+        ([*SWEEP, "--dt", "1", "--t-max", "0.5"], "--dt and --t-max: dt=1.0 must be smaller than t_max=0.5"),
+    ],
+    ids=["simulate-pair", "simulate-dt", "simulate-t-max", "basin-dt", "basin-t-max", "sweep-pair"],
+)
+def test_dt_and_t_max_refusals_name_the_flags_given(tmp_path, argv, message):
+    # Each value is finite and positive; only the pair, or one flag against the
+    # other setting's default, is out of range.
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--out-dir", out) == 64
+    manifest = strict_manifest(out)
+    assert manifest["termination_reason"] == "config-error"
+    assert manifest["error"] == message
+
+
+@pytest.mark.parametrize(
     "flags, expected",
     [
         ([], IntegratorConfig()),

@@ -19,7 +19,6 @@ from triform import (
     build_hierarchy,
     enumerate_triangle_equilibria,
     simulate,
-    total_potential,
 )
 from triform import dynamics, potentials
 from triform.cli import _run_basin
@@ -29,6 +28,7 @@ from triform.hierarchy import target_positions
 from triform.scenario import load_scenario, make_builtin_scenario, resolve, two_columns_layout
 
 from conftest import grown_formation
+from oracles import total_potential
 
 SQRT3 = math.sqrt(3.0)
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -735,6 +735,78 @@ def test_basin_requires_three_agents():
     plan = build_hierarchy(g, (1, 2))
     with pytest.raises(ValueError):
         probe_points(plan, df, IntegratorConfig(), 20.0, GridSpec(2, 2, -1, 1, -1, 1).points())
+
+
+@pytest.mark.parametrize("k_gain", [0.3, 0.6, 1.4, 20.0])  # both sides of K_LOW and of K_HIGH
+def test_basin_cells_mirror_their_direct_probes(k_gain):
+    # The pinned triangle's flow is mirror-symmetric about x = 0, and so is the
+    # rounding of the op text: the probe from (-x, y) ends at the mirror of the
+    # probe from (x, y), with the same label, reason and family. Only signed
+    # zeros may differ. Windows are drawn like the benchmark's, with an odd
+    # and an even column count, plus one window of +-0.0.
+    scenario = resolve(make_builtin_scenario("triangle", k_gain=1.0, d_star=2.0))
+    rng = random.Random(repr(k_gain))
+    points = []
+    for nx in (3, 4):
+        w, shift = rng.uniform(2.5, 3.5), rng.uniform(-0.5, 0.5)
+        points += [p for p in GridSpec(nx, 2, -w, w, -3.0 + shift, 3.0 + shift).points() if p[2] <= 0.0]
+    points += GridSpec(1, 2, -0.0, 0.0, -3.0, 3.0).points()
+    mirrored = [(ix, iy, -x, y) for ix, iy, x, y in points]
+    cfg = IntegratorConfig()
+    left, right = (probe_points(scenario.plan, scenario.formation, cfg, k_gain, p) for p in (points, mirrored))
+    for a, b in zip(left, right):
+        assert (a.label, a.reason, a.matched_family, repr(a.y_final)) == (
+            b.label, b.reason, b.matched_family, repr(b.y_final)
+        ), (a, b)
+        assert a.x_final == -b.x_final, (a, b)
+
+
+def downstream(plan, moved):
+    """``moved`` and every agent whose triangle depends on it, directly or through others."""
+    down = {moved}
+    for t in plan.triangles:  # in processing order, so bases are classified first
+        if t.base1 in down or t.base2 in down:
+            down.add(t.agent)
+    return down
+
+
+def paper10_random():
+    scenario = resolve(load_scenario(SCENARIOS / "paper10-random-k20.json"))
+    return scenario.plan, scenario.formation, scenario.initial_positions, scenario.config.kappa
+
+
+def grown_64():
+    rng = random.Random(64)
+    _, df, plan = grown_formation(rng, 64)
+    init = [
+        Position(q.x + rng.uniform(-0.5, 0.5), q.y + rng.uniform(-0.5, 0.5)) for q in target_positions(plan, df)
+    ]
+    return plan, df, init, 20.0
+
+
+@pytest.mark.parametrize("moved", ["last", "middle"])
+@pytest.mark.parametrize("formation", [paper10_random, grown_64], ids=["paper10-list", "grown64-array"])
+def test_information_flows_strictly_downward(formation, moved):
+    # The paper's structural claim, exactly: moving one agent's start leaves
+    # every agent that is not downstream of it with the same trajectory bytes,
+    # up to the shorter run's length. Paper-10 runs the list kernel, the grown
+    # formation the array kernel.
+    plan, df, init, kappa = formation()
+    assert dynamics.uses_array_kernel(plan.graph.n) == (formation is grown_64)
+    order = plan.processing_order
+    if moved == "last":
+        agent = order[-1]
+    else:  # the first agent from the middle of the order on that has dependents
+        agent = next(a for a in order[len(order) // 2 :] if len(downstream(plan, a)) > 1)
+    trial = list(init)
+    p = trial[agent - 1]
+    trial[agent - 1] = Position(p.x + 0.25, p.y - 0.125)
+    cfg = IntegratorConfig(t_max=1.0, record_stride=1)
+    base, other = (simulate(plan, df, start, cfg, k_gain=20.0, kappa=kappa).trajectory for start in (init, trial))
+    m = min(len(base.times), len(other.times))
+    kept = [a for a in order if a not in downstream(plan, agent)]
+    changed = [a for a in [*kept, agent] if base.states[:m, a - 1].tobytes() != other.states[:m, a - 1].tobytes()]
+    assert kept and changed == [agent]
 
 
 @pytest.mark.parametrize("count", range(1, 12))

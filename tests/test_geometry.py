@@ -13,9 +13,7 @@ from triform import (
     TrianglePotentialSpec,
     classify_gain,
     distance,
-    enumerate_pair_equilibria,
     enumerate_triangle_equilibria,
-    find_equilibria_numeric,
     signed_area,
     squared_distance,
 )
@@ -55,12 +53,9 @@ def test_positions_reject_non_finite():
 # Every setting the control law needs finite and positive, by where it is
 # checked: (name in the message, constructor of one value, exception type).
 POSITIVE_SETTINGS = {
-    "pair-equilibria-d_star": ("d_star", enumerate_pair_equilibria, ValueError),
     "triangle-equilibria-a": ("a", lambda v: enumerate_triangle_equilibria(v, 1.0), ValueError),
     "triangle-equilibria-k_gain": ("k_gain", lambda v: enumerate_triangle_equilibria(1.0, v), ValueError),
     "classify-gain-k_gain": ("k_gain", classify_gain, ValueError),
-    "numeric-equilibria-a": ("a", lambda v: find_equilibria_numeric(v, 1.0), ValueError),
-    "numeric-equilibria-k_gain": ("k_gain", lambda v: find_equilibria_numeric(1.0, v), ValueError),
     "integrator-dt": ("dt", lambda v: IntegratorConfig(dt=v), ValueError),
     "integrator-grad_norm_tol": ("grad_norm_tol", lambda v: IntegratorConfig(grad_norm_tol=v), ValueError),
     "integrator-divergence_bound": ("divergence_bound", lambda v: IntegratorConfig(divergence_bound=v), ValueError),

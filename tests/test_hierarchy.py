@@ -14,12 +14,12 @@ from triform import (
     control_field,
     formation_errors,
     target_positions,
-    total_potential,
 )
 from triform.dynamics import ARRAY_MIN_AGENTS, compile_field
 from triform.potentials import _corner_gradient, _pair_gradient
 
 from conftest import grow_henneberg, grown_formation
+from oracles import total_potential
 
 SQRT3 = math.sqrt(3.0)
 
