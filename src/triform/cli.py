@@ -138,14 +138,18 @@ def _parse_k_range(text: str) -> list[float]:
     return out
 
 
-def _integrator(base: IntegratorConfig, args: argparse.Namespace) -> IntegratorConfig:
-    """``base`` with the --dt and --t-max given on the command line, checked together
-    and refused under the flags given."""
-    given = {k: v for k, v in dict(dt=args.dt, t_max=args.t_max).items() if v is not None}
+def _refused(flags: str, make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``make(*args, **kwargs)``, with a ValueError it raises refused under ``flags``, the flags given."""
     try:
-        return replace(base, **given)
+        return make(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(" and ".join("--" + k.replace("_", "-") for k in given), str(exc)) from exc
+        raise ConfigError(flags, str(exc)) from exc
+
+
+def _integrator(base: IntegratorConfig, args: argparse.Namespace) -> IntegratorConfig:
+    """``base`` with the --dt and --t-max given, applied together and refused under those flags."""
+    given = {k: v for k, v in dict(dt=args.dt, t_max=args.t_max).items() if v is not None}
+    return _refused(" and ".join("--" + k.replace("_", "-") for k in given), replace, base, **given)
 
 
 def cmd_simulate(args: argparse.Namespace) -> Run:
@@ -203,7 +207,7 @@ def cmd_analyze(args: argparse.Namespace) -> Run:
         gains.append(K_LOW)
     if not gains:
         raise ConfigError("--k", "need at least one gain (--k, --k-range or --exact-boundary)")
-    catalogue = [(k, classify_gain(k), enumerate_triangle_equilibria(args.a, k)) for k in gains]
+    catalogue = [(k, classify_gain(k), _refused("--a", enumerate_triangle_equilibria, args.a, k)) for k in gains]
 
     def run(out_dir: Path) -> tuple[int, dict[str, Any]]:
         rows = []
@@ -235,15 +239,16 @@ def cmd_analyze(args: argparse.Namespace) -> Run:
 
 def _basin_setup(args: argparse.Namespace, gains: list[float]):
     """Check every basin input; return the pinned triangle, grid, integrator and catalogues."""
-    nx, ny = _parse_grid(args.grid)
-    if nx * ny > _MAX_CELLS:
+    grid = _refused("--grid", GridSpec, *_parse_grid(args.grid), 0.0, 0.0, 0.0, 0.0)
+    if grid.nx * grid.ny > _MAX_CELLS:
         raise ConfigError("--grid", f"more than {_MAX_CELLS} cells in {args.grid!r}")
-    grid = GridSpec(nx=nx, ny=ny, xmin=args.xmin, xmax=args.xmax, ymin=args.ymin, ymax=args.ymax)
+    grid = _refused("--xmin and --xmax", replace, grid, xmin=args.xmin, xmax=args.xmax)
+    grid = _refused("--ymin and --ymax", replace, grid, ymin=args.ymin, ymax=args.ymax)
     cfg = _integrator(IntegratorConfig(), args)
     if args.jobs < 1:
         raise ConfigError("--jobs", f"need at least one worker, got {args.jobs}")
     scenario = resolve(make_builtin_scenario("triangle", k_gain=1.0, d_star=args.d_star))
-    catalogues = [enumerate_triangle_equilibria(0.5 * args.d_star, k) for k in gains]
+    catalogues = [_refused("--d-star", enumerate_triangle_equilibria, 0.5 * args.d_star, k) for k in gains]
     return scenario, grid, cfg, catalogues
 
 

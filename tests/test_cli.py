@@ -312,10 +312,19 @@ def test_simulate_rejects_malformed_document(tmp_path, case):
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
-# Documents that no key path into valid_document() can express, by case id.
+# Documents that no key path into valid_document() can express, or that
+# config_from_dict accepts and only resolve refuses, by case id.
 UNSHAPED = {
     "root-list": lambda: [valid_document()],
     "d-star-missing": lambda: {k: v for k, v in valid_document().items() if k != "d_star"},
+    # The full validation runs only once the growth from the root edge stalls.
+    "four-cycle": lambda: {
+        "graph": {"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]},
+        "root_edge": [1, 2],
+        "d_star": 2.0,
+        "k_gain": 20.0,
+        "initial": {"seed": 1, "box": [0, 1, 0, 1]},
+    },
 }
 
 # case id -> the error a config-error manifest states, word for word
@@ -330,6 +339,8 @@ REFUSALS = {
     "n-zero": "graph: agent count must be >= 1, got 0",
     "method-list": "integrator: method must be 'rk4' or 'euler', got ['rk4']",
     "method-object": "integrator: method must be 'rk4' or 'euler', got {}",
+    "four-cycle": "graph is not triangulated-constructible: vertex 3 cannot attach to two adjacent placed vertices"
+    " (best ordering covers 2 of 4 agents)",
 }
 
 
@@ -608,14 +619,26 @@ def test_pair_run_has_no_triangle_to_label(tmp_path):
         assert "terminal_equilibrium" not in manifest
 
 
-@pytest.mark.parametrize("k_gain", [0.6, 20.0])
-def test_basin_cells_and_simulate_share_one_judge(tmp_path, k_gain):
+# case id -> (gain, basin grid flags, cells): the default window at 3x3, and
+# the flip start (0, -2) of triangle-flip-k06 alone, which ends below the axis.
+JUDGE_CASES = {
+    "0.6": (0.6, ["--grid", "3x3"], 9),
+    "20.0": (20.0, ["--grid", "3x3"], 9),
+    "flip-start": (0.6, ["--grid", "1x1", "--xmin", 0, "--xmax", 0, "--ymin", -2, "--ymax", -2], 1),
+}
+
+
+@pytest.mark.parametrize("case", list(JUDGE_CASES))
+def test_basin_cells_and_simulate_share_one_judge(tmp_path, case):
     # A basin cell is the 3-agent simulate from the pins plus the cell's start
     # with the same integrator, and both are labelled by one judge.
-    assert run_cli("basin", "--k", k_gain, "--grid", "3x3", "--out-dir", tmp_path / "basin") == 0
+    k_gain, grid, count = JUDGE_CASES[case]
+    assert run_cli("basin", "--k", k_gain, *grid, "--out-dir", tmp_path / "basin") == 0
     with open(tmp_path / "basin" / "basin.csv", newline="") as fh:
         cells = list(csv.DictReader(fh))
-    assert len(cells) == 9
+    assert len(cells) == count
+    if case == "flip-start":
+        assert [(c["label"], c["matched_family"]) for c in cells] == [("incorrect", "below-axis")]
     for cell in cells:
         start = ((-1.0, 0.0), (1.0, 0.0), (float(cell["x0"]), float(cell["y0"])))
         cfg = triangle_config(k_gain=k_gain, initial=InitialSpec(positions=start), integrator=IntegratorConfig())
@@ -1069,10 +1092,17 @@ def test_basin_csv_bytes_are_pinned(tmp_path, k):
 
 
 def test_basin_parallel_output_matches_serial(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run_cli("basin", "--k", "0.6", "--grid", "3x3", "--jobs", 1, "--out-dir", a) == 0
-    assert run_cli("basin", "--k", "0.6", "--grid", "3x3", "--jobs", 2, "--out-dir", b) == 0
-    assert (a / "basin.csv").read_bytes() == (b / "basin.csv").read_bytes()
+    # A real pool of two workers writes the bytes of one worker: basin cells in
+    # both gain regimes, and a gain sweep.
+    for name, argv, output in [
+        ("basin-k0.6", ["basin", "--k", "0.6", "--grid", "3x3"], "basin.csv"),
+        ("basin-k20", ["basin", "--k", "20", "--grid", "3x3"], "basin.csv"),
+        ("sweep", ["sweep-gain", "--k-range", "0.4:2.0:0.4", "--grid", "3x3"], "sweep.csv"),
+    ]:
+        a, b = tmp_path / name / "a", tmp_path / name / "b"
+        assert run_cli(*argv, "--jobs", 1, "--out-dir", a) == 0
+        assert run_cli(*argv, "--jobs", 2, "--out-dir", b) == 0
+        assert (a / output).read_bytes() == (b / output).read_bytes(), name
 
 
 def test_basin_rejects_bad_grid(tmp_path):
@@ -1307,12 +1337,40 @@ def test_simulate_applies_dt_and_t_max_together(tmp_path, flags, code):
         ([*BASIN, "--dt", "1e-12"], "--dt: t_max=50.0 must be within 10000000 steps of dt=1e-12"),
         ([*BASIN, "--t-max", "1e5"], "--t-max: t_max=100000.0 must be within 10000000 steps of dt=0.001"),
         ([*SWEEP, "--dt", "1", "--t-max", "0.5"], "--dt and --t-max: dt=1.0 must be smaller than t_max=0.5"),
+        (["basin", "--k", "1", "--grid", "3x-1"], "--grid: grid sizes must be non-negative, got 3x-1"),
+        ([*BASIN, "--xmin", "1", "--xmax", "0"], "--xmin and --xmax: grid bounds are inverted"),
+        (
+            ["sweep-gain", "--k-range", "1:2:0.5", "--grid", "2x2", "--ymin", "5"],
+            "--ymin and --ymax: grid bounds are inverted",
+        ),
+        (
+            [*BASIN, "--xmin", "nan"],
+            "--xmin and --xmax: grid bounds must be finite with a finite span, got nan..3.0",
+        ),
+        ([*BASIN, "--d-star", "5e-324"], "--d-star: a must be finite and positive, got 0.0"),
+        ([*BASIN, "--d-star", "1e-308"], "--d-star: a=5e-309 gives a*a=0.0, which is not a normal float"),
+        (["analyze", "--a", "1e200", "--k", "1"], "--a: a=1e+200 gives a*a=inf, which is not a normal float"),
     ],
-    ids=["simulate-pair", "simulate-dt", "simulate-t-max", "basin-dt", "basin-t-max", "sweep-pair"],
+    ids=[
+        "simulate-pair",
+        "simulate-dt",
+        "simulate-t-max",
+        "basin-dt",
+        "basin-t-max",
+        "sweep-pair",
+        "basin-negative-grid",
+        "basin-inverted-x",
+        "sweep-inverted-y",
+        "basin-nan-xmin",
+        "basin-zero-half-d-star",
+        "basin-underflowing-d-star",
+        "analyze-overflowing-a",
+    ],
 )
 def test_dt_and_t_max_refusals_name_the_flags_given(tmp_path, argv, message):
-    # Each value is finite and positive; only the pair, or one flag against the
-    # other setting's default, is out of range.
+    # Each value passes cli.main's own check of its flag; only the pair, one flag
+    # against another setting, or what the command derives from a value is out
+    # of range.  The error's subject is the flag or flags given.
     out = tmp_path / "run"
     assert run_cli(*argv, "--out-dir", out) == 64
     manifest = strict_manifest(out)

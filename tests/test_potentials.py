@@ -240,27 +240,45 @@ def test_pinned_hessian_matches_finite_differences(rng):
 # The control law, proved against the paper's potential
 # ---------------------------------------------------------------------------
 
+# V restated from the paper, not from the op text: a quarter of (|e|^2 - d*^2)^2
+# per edge and, for a triangle, (K/2)(Z - z*)^2 with Z the signed area of
+# (first base, second base, moving agent), positive counterclockwise.
+def paper_edge_potential(p, q, d):
+    return ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 - d**2) ** 2 / 4
+
+
+def paper_triangle_potential(m, f, s, d, k_gain, z_star):
+    """V of the triangle with moving agent m on the base (f, s)."""
+    z = ((s[0] - f[0]) * (m[1] - f[1]) - (m[0] - f[0]) * (s[1] - f[1])) / 2
+    edges = paper_edge_potential(f, s, d) + paper_edge_potential(s, m, d) + paper_edge_potential(m, f, d)
+    return edges + k_gain / 2 * (z - z_star) ** 2
+
+
+def exact(expr):
+    """expr with its float coefficients read as the rationals they are (0.5, 6.0, ...)."""
+    return expr.xreplace({f: sympy.Rational(f) for f in expr.atoms(sympy.Float)})
+
+
 @pytest.mark.parametrize("op", [_PAIR_OP, _TRIANGLE_OP], ids=["pair", "triangle"])
 def test_op_text_is_minus_kappa_times_the_gradient_of_the_paper_potential(op):
-    # V restated from the paper, not from the op text: a quarter of (|e|^2 - d*^2)^2
-    # per edge and, for a triangle, (K/2)(Z - z*)^2 with Z the signed area of
-    # (first base, second base, moving agent), positive counterclockwise.
-    (xm, ym), (xa, ya), (xf, yf), (xs, ys) = agents = [
-        sympy.symbols(f"x_{c} y_{c}", real=True) for c in "mafs"
-    ]
+    m, a, f, s = agents = [sympy.symbols(f"x_{c} y_{c}", real=True) for c in "mafs"]
     d, k_gain, kappa, z_star = sympy.symbols("d K kappa z_star", real=True)
-
-    def edge(xp, yp, xq, yq):
-        return ((xp - xq) ** 2 + (yp - yq) ** 2 - d**2) ** 2 / 4
-
     if op == _PAIR_OP:
-        v = edge(xm, ym, xa, ya)
+        v = paper_edge_potential(m, a, d)
     else:
-        z = ((xs - xf) * (ym - yf) - (xm - xf) * (ys - yf)) / 2
-        v = edge(xf, yf, xs, ys) + edge(xs, ys, xm, ym) + edge(xm, ym, xf, yf) + k_gain / 2 * (z - z_star) ** 2
+        v = paper_triangle_potential(m, f, s, d, k_gain, z_star)
     env = {f"{axis}{c}": q for c, xy in zip("MAFS", agents) for axis, q in zip("xy", xy)}
     env.update(d2=d**2, kg=k_gain, nkap=-kappa, z_star=z_star)
     exec(op.format(m="M", a="A", f="F", s="S", k="", dx="dx", dy="dy"), env)
-    for entry, coordinate in (("dx", xm), ("dy", ym)):
-        got = env[entry].xreplace({f: sympy.Rational(f) for f in env[entry].atoms(sympy.Float)})  # 0.5 is exact
-        assert sympy.expand(got + kappa * sympy.diff(v, coordinate)) == 0
+    for entry, coordinate in (("dx", m[0]), ("dy", m[1])):
+        assert sympy.expand(exact(env[entry]) + kappa * sympy.diff(v, coordinate)) == 0
+
+
+def test_pinned_hessian_is_the_hessian_of_the_paper_potential():
+    # The free agent (x, y) on the pins (-a, 0) and (a, 0), with d* = 2a and the
+    # counterclockwise target area z* = sqrt(3) a^2.
+    a, k_gain, x, y = sympy.symbols("a K x y", real=True)
+    v = paper_triangle_potential((x, y), (-a, 0), (a, 0), 2 * a, k_gain, sympy.sqrt(3) * a**2)
+    hessian = (sympy.diff(v, x, x), sympy.diff(v, x, y), sympy.diff(v, y, y))
+    for got, want in zip(pinned_hessian_entries(a**2, k_gain, x, y), hessian, strict=True):
+        assert sympy.expand(exact(got) - want) == 0
